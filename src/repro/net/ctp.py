@@ -15,7 +15,7 @@ from dataclasses import dataclass
 from typing import TYPE_CHECKING, Callable, Dict, List, Optional, Tuple
 
 from repro.mac.lpl import SendResult
-from repro.net.linkest import LinkEstimator
+from repro.net.linkest import UNKNOWN_ETX
 from repro.net.messages import NO_ROUTE, DataPacket, RoutingBeacon
 from repro.net.trickle import (
     CTP_BEACON_I_MAX_DOUBLINGS,
@@ -147,41 +147,49 @@ class CtpRouting:
         self.stack.beacon_observed(beacon, rssi)
 
     # ------------------------------------------------------------- selection
-    def _candidate_cost(self, neighbor: int) -> Optional[float]:
-        entry = self.table.get(neighbor)
-        if entry is None or entry.path_etx >= NO_ROUTE:
-            return None
-        if self.sim.now - entry.heard_at > self.ENTRY_TTL:
-            return None
-        if entry.parent == self.node_id or neighbor in self.children:
-            return None  # loop avoidance
-        if not self.linkest.is_usable(neighbor):
-            return None
-        return entry.path_etx + self.linkest.link_etx(neighbor)
-
     def _evaluate_route(self) -> None:
         if self.is_root:
             return
+        # One scan of the table. A neighbour is a candidate when it has a
+        # route heard within ENTRY_TTL, does not route through us (loop
+        # avoidance) and its cached link ETX is usable. Table order and
+        # strict < keep ties on the first candidate; the parent's own cost
+        # falls out of the same pass.
+        parent = self.parent
+        now = self.sim.now
+        ttl = self.ENTRY_TTL
+        node_id = self.node_id
+        children = self.children
+        link_etx = self.linkest.etx.get
+        max_etx = self.linkest.MAX_ETX
         best: Optional[int] = None
         best_cost = float("inf")
-        for neighbor in self.table:
-            cost = self._candidate_cost(neighbor)
-            if cost is not None and cost < best_cost:
-                best, best_cost = neighbor, cost
+        current_cost: Optional[float] = None
+        for neighbor, entry in self.table.items():
+            path_etx = entry.path_etx
+            if path_etx >= NO_ROUTE or now - entry.heard_at > ttl:
+                continue
+            if entry.parent == node_id or neighbor in children:
+                continue  # loop avoidance
+            etx = link_etx(neighbor, UNKNOWN_ETX)
+            if etx <= max_etx:
+                cost = path_etx + etx
+                if neighbor == parent:
+                    current_cost = cost
+                if cost < best_cost:
+                    best, best_cost = neighbor, cost
         if best is None:
             return
-        current_cost = self._candidate_cost(self.parent) if self.parent is not None else None
         switch = False
-        if self.parent is None or current_cost is None:
+        if parent is None or current_cost is None:
             switch = True
-        elif best != self.parent and best_cost < current_cost - self.PARENT_SWITCH_HYSTERESIS:
+        elif best != parent and best_cost < current_cost - self.PARENT_SWITCH_HYSTERESIS:
             switch = True
-        if switch and best != self.parent:
-            old = self.parent
+        if switch and best != parent:
             self.parent = best
             self.trickle.reset()
             for callback in self.on_parent_change:
-                callback(old, best)
+                callback(parent, best)
             if not self._had_parent:
                 self._had_parent = True
                 for callback in self.on_parent_found:

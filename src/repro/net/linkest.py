@@ -28,6 +28,19 @@ class _NeighborEstimate:
     last_rssi: float = -100.0
 
 
+def _etx_of(est: _NeighborEstimate) -> float:
+    """Best current ETX estimate one neighbour's state supports."""
+    if est.data_etx is not None:
+        return est.data_etx
+    if est.beacon_windows > 0 and est.beacon_quality > 0:
+        # Beacon PRR measures ingress; assume near-symmetry (the paper's
+        # links are static with symmetric gains).
+        return min(1.0 / (est.beacon_quality**2), UNKNOWN_ETX)
+    if est.beacons_received > 0:
+        return 2.0  # heard something recently; optimistic bootstrap
+    return UNKNOWN_ETX
+
+
 class LinkEstimator:
     """Per-node link-quality table."""
 
@@ -44,6 +57,10 @@ class LinkEstimator:
 
     def __init__(self) -> None:
         self._table: Dict[int, _NeighborEstimate] = {}
+        #: :meth:`link_etx` per neighbour with an estimate. Every method that
+        #: mutates an estimate refreshes its entry, so route selection reads
+        #: link costs as plain dict lookups; absent means ``UNKNOWN_ETX``.
+        self.etx: Dict[int, float] = {}
 
     # --------------------------------------------------------------- updates
     def beacon_received(self, neighbor: int, seqno: int, rssi: float) -> None:
@@ -71,6 +88,7 @@ class LinkEstimator:
             est.beacon_windows += 1
             est.beacons_received = 0
             est.beacons_expected = 0
+        self.etx[neighbor] = _etx_of(est)
 
     def data_sent(self, neighbor: int, success: bool) -> None:
         """Account the outcome of one unicast send (one LPL train) to ``neighbor``."""
@@ -91,22 +109,12 @@ class LinkEstimator:
                 )
             est.data_attempts = 0
             est.data_successes = 0
+        self.etx[neighbor] = _etx_of(est)
 
     # --------------------------------------------------------------- queries
     def link_etx(self, neighbor: int) -> float:
         """Best current ETX estimate for the link to ``neighbor``."""
-        est = self._table.get(neighbor)
-        if est is None:
-            return UNKNOWN_ETX
-        if est.data_etx is not None:
-            return est.data_etx
-        if est.beacon_windows > 0 and est.beacon_quality > 0:
-            # Beacon PRR measures ingress; assume near-symmetry (the paper's
-            # links are static with symmetric gains).
-            return min(1.0 / (est.beacon_quality**2), UNKNOWN_ETX)
-        if est.beacons_received > 0:
-            return 2.0  # heard something recently; optimistic bootstrap
-        return UNKNOWN_ETX
+        return self.etx.get(neighbor, UNKNOWN_ETX)
 
     def is_usable(self, neighbor: int) -> bool:
         """True when the link's ETX is below the usable ceiling."""
@@ -124,8 +132,10 @@ class LinkEstimator:
     def forget(self, neighbor: int) -> None:
         """Drop all state for a neighbour (eviction / long silence)."""
         self._table.pop(neighbor, None)
+        self.etx.pop(neighbor, None)
 
     def reset(self) -> None:
         """Drop every estimate (node reboot). Clears in place: routing and
         forwarding keep references to this estimator."""
         self._table.clear()
+        self.etx.clear()

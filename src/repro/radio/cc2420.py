@@ -15,8 +15,7 @@ with ``snr`` linear. Packet reception ratio over ``f`` bytes is then
 from __future__ import annotations
 
 import math
-from functools import lru_cache
-from typing import Dict
+from typing import Dict, Tuple
 
 from repro.sim.units import MICROSECOND
 
@@ -33,6 +32,10 @@ POWER_LEVEL_DBM: Dict[int, float] = {
 }
 
 _BINOM_16 = [math.comb(16, k) for k in range(17)]
+
+#: :meth:`CC2420.prr` per ``(SNR in tenths of a dB, frame bytes)``; bounded
+#: by the ~250 tenths between the curve's range checks times the frame sizes.
+_PRR_MEMO: Dict[Tuple[int, int], float] = {}
 
 
 class CC2420:
@@ -85,9 +88,8 @@ class CC2420:
         )
 
     @staticmethod
-    @lru_cache(maxsize=4096)
     def bit_error_rate(snr_db_tenths: int) -> float:
-        """BER for a given SNR (passed as tenths of dB for cache-friendliness)."""
+        """BER for a given SNR, passed as tenths of dB (the curve's resolution)."""
         snr = 10.0 ** (snr_db_tenths / 10.0 / 10.0)
         total = 0.0
         for k in range(2, 17):
@@ -95,15 +97,24 @@ class CC2420:
         ber = (8.0 / 15.0) * (1.0 / 16.0) * total
         return min(max(ber, 0.0), 0.5)
 
-    @classmethod
-    def prr(cls, snr_db: float, frame_bytes: int) -> float:
-        """Packet reception ratio at ``snr_db`` for a ``frame_bytes`` frame."""
+    @staticmethod
+    def prr(snr_db: float, frame_bytes: int) -> float:
+        """Packet reception ratio at ``snr_db`` for a ``frame_bytes`` frame.
+
+        Called once per reception: between the two range checks the curve
+        only sees the SNR in tenths of a dB, so each value is memoised on
+        ``(round(snr_db * 10), frame_bytes)``.
+        """
         if snr_db <= -10.0:
             return 0.0
         if snr_db >= 15.0:
             return 1.0
-        ber = cls.bit_error_rate(round(snr_db * 10))
-        return (1.0 - ber) ** (8 * max(frame_bytes, 1))
+        key = (round(snr_db * 10), frame_bytes)
+        prr = _PRR_MEMO.get(key)
+        if prr is None:
+            ber = CC2420.bit_error_rate(key[0])
+            prr = _PRR_MEMO[key] = (1.0 - ber) ** (8 * max(frame_bytes, 1))
+        return prr
 
 
 def packet_airtime(frame_bytes: int) -> int:

@@ -140,7 +140,10 @@ class Channel:
         # exactly the same powers, so the audible-neighbour loop — the single
         # hottest loop in dense grids — runs once per bucket instead of once
         # per packet. The cached dict is shared read-only by transmissions.
-        self._rx_cache: Dict[int, Tuple[int, float, int, Dict[int, float]]] = {}
+        # Each entry also lists the receivers a packet can lock (ids at or
+        # above sensitivity, in rx-map order), so locking never walks the
+        # merely audible neighbours.
+        self._rx_cache: Dict[int, Tuple[int, float, int, Dict[int, float], List[int]]] = {}
         self._fault_epoch = 0
         self._radios: Dict[int, Radio] = {}
         self._on_radios: Set[int] = set()
@@ -392,6 +395,7 @@ class Channel:
         tx_power = radio.tx_power_dbm
         bucket = now // self.fading_coherence if self.fading_sigma_db > 0.0 else -1
         epoch = self._fault_epoch
+        pending_map = self._pending
         cached_rx = self._rx_cache.get(src)
         if (
             cached_rx is not None
@@ -400,32 +404,37 @@ class Channel:
             and cached_rx[2] == epoch
         ):
             rx_map = cached_rx[3]
+            lockable = cached_rx[4]
         else:
             rx_map = self._compute_rx_map(src, tx_power, bucket)
-            self._rx_cache[src] = (bucket, tx_power, epoch, rx_map)
+            sensitivity = self._sensitivity
+            lockable = [rid for rid, power in rx_map.items() if power >= sensitivity]
+            self._rx_cache[src] = (bucket, tx_power, epoch, rx_map, lockable)
         tx = _Transmission(src, frame, now, tx_end, rx_map)
-        # Account this new packet as interference against in-flight receptions,
-        # and try to lock idle receivers onto it.
-        pending_map = self._pending
+        # Account this new packet as interference against the in-flight
+        # receptions it reaches. Each reception owns its accumulator, so the
+        # (set) order across receptions cannot change a float.
+        for receiver_id in pending_map.keys() & rx_map.keys():
+            pending = pending_map[receiver_id]
+            end = pending.transmission.end
+            overlap = (end if end < tx_end else tx_end) - now
+            if overlap > 0:
+                pending.interference_mw_ticks += (
+                    10.0 ** (rx_map[receiver_id] / 10.0) * overlap
+                )
+        # Lock idle receivers onto it, in rx-map order (the order
+        # _end_transmission resolves them, drawing the channel RNG).
         radios = self._radios
         locked = tx.locked
         idle = RadioState.IDLE
-        sensitivity = self._sensitivity
-        for receiver_id, rx_power in rx_map.items():
-            pending = pending_map.get(receiver_id)
-            if pending is not None:
-                end = pending.transmission.end
-                overlap = (end if end < tx_end else tx_end) - now
-                if overlap > 0:
-                    pending.interference_mw_ticks += 10.0 ** (rx_power / 10.0) * overlap
-                continue
+        for receiver_id in lockable:
             receiver = radios.get(receiver_id)
             if receiver is None:
                 continue  # position known but no radio attached
-            if receiver.state is idle and rx_power >= sensitivity:
+            if receiver.state is idle and receiver_id not in pending_map:
                 receiver.state = RadioState.RECEIVING
                 receiver.locked_frame_id = frame.frame_id
-                reception = _PendingReception(tx, rx_power)
+                reception = _PendingReception(tx, rx_map[receiver_id])
                 pending_map[receiver_id] = reception
                 locked.append((receiver_id, reception))
         # Pre-existing overlapping transmissions interfere with this packet's

@@ -149,18 +149,29 @@ class CPMNoiseModel:
         return clone
 
     def sample(self) -> float:
-        """Draw the next noise reading (dBm) and advance the model state."""
+        """Draw the next noise reading (dBm) and advance the model state.
+
+        The index is drawn with ``Random.choice``'s own rejection loop over
+        ``getrandbits`` (the same bits, so the same element on every CPython
+        3.10–3.12), without choice's two call layers on this per-reception
+        and per-CCA path.
+        """
         bins = self._state_bins
         tables = self._tables
         history = self.history
-        value: float
+        candidates = self._marginal
         for h in range(history, 0, -1):
-            candidates = tables[h - 1].get(bins[history - h :])
-            if candidates:
-                value = self._rng.choice(candidates)
+            matched = tables[h - 1].get(bins[history - h :])
+            if matched:
+                candidates = matched
                 break
-        else:
-            value = self._rng.choice(self._marginal)
+        n = len(candidates)
+        k = n.bit_length()
+        getrandbits = self._rng.getrandbits
+        r = getrandbits(k)
+        while r >= n:
+            r = getrandbits(k)
+        value = candidates[r]
         self._state_bins = bins[1:] + (int(value // self.bin_width_db),)
         return value
 

@@ -12,7 +12,7 @@ drivers, and CLI all dispatch through the profile, mirroring the
 (:func:`register_radio_profile`) makes the radio runnable everywhere at once.
 
 The default profile (``"cc2420"``) reproduces the pre-registry constants
-bit for bit — same integer airtimes, the same lru-cached PRR curve object,
+bit for bit — same integer airtimes, the same memoised PRR curve object,
 the same float thresholds — so every golden digest and cache fingerprint is
 unchanged when ``NetworkConfig.radio_profile`` is left at ``None``.
 """
@@ -162,7 +162,7 @@ class CC2420Profile(RadioProfile):
     """The paper's CC2420/TelosB stack: 802.15.4 PHY under the LPL MAC.
 
     Every value delegates to (or duplicates exactly) the historical module
-    constants, including the shared lru-cached BER curve — this profile *is*
+    constants, including the memoised PRR curve — this profile *is*
     the pre-registry behaviour, bit for bit.
     """
 
@@ -190,9 +190,10 @@ class CC2420Profile(RadioProfile):
     }
     default_tx_power_dbm = 0.0
 
-    def prr(self, snr_db: float, frame_bytes: int) -> float:
-        """The TOSSIM O-QPSK/DSSS curve (shared cache with ``CC2420.prr``)."""
-        return CC2420.prr(snr_db, frame_bytes)
+    #: The TOSSIM O-QPSK/DSSS curve: the very staticmethod object of
+    #: :meth:`CC2420.prr`, so a reception's PRR lookup is one call into
+    #: the memoised curve rather than a delegating method.
+    prr = vars(CC2420)["prr"]
 
 
 class RadioProfileRegistry:

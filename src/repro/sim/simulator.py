@@ -111,8 +111,10 @@ class Simulator:
 
         Stops when the queue drains, when the clock would pass ``until``
         (the clock is then advanced exactly to ``until``), after
-        ``max_events`` events, or when :meth:`stop` is called. Returns the
-        number of events executed.
+        ``max_events`` events, or when :meth:`stop` is called. A run cut
+        short by ``max_events`` while events up to ``until`` are still
+        queued leaves the clock at its last event, so time never moves
+        backwards on the next run. Returns the number of events executed.
         """
         if self._running:
             raise SimulationError("simulator is already running (reentrant run())")
@@ -131,7 +133,9 @@ class Simulator:
                 event.callback(*event.args)
                 executed += 1
             if until is not None and self._now < until and not self._stopped:
-                self._now = until
+                head = self._queue.peek_time()
+                if head is None or head > until:
+                    self._now = until
         finally:
             self._running = False
             self.events_executed += executed

@@ -166,9 +166,12 @@ class TestExitCodeContract:
         # completed cell must exit 3 (resumable), and --resume must finish
         # the grid with exit 0. This is the CLI half of the crash-safety
         # acceptance; the engine half lives in test_runner_equivalence.
+        # Two seeds give four cells, so some are still undispatched when the
+        # signal lands (with two cells the drain finishes the one running
+        # and the grid completes with exit 0).
         argv = [
             sys.executable, "-m", "repro", "run", "fig8",
-            "--seeds", "1", "--controls", "2", "--interval", "4",
+            "--seeds", "1", "2", "--controls", "2", "--interval", "4",
             "--converge", "30", "--drain", "10",
             "--journal-dir", str(tmp_path / "journal"),
             "--cache-dir", str(tmp_path / "cache"), "--no-cache",

@@ -132,6 +132,17 @@ class TestSimulator:
         executed = sim.run(max_events=4)
         assert executed == 4
 
+    def test_max_events_cap_keeps_clock_before_queued_events(self):
+        sim = Simulator()
+        seen = []
+        for t in (10, 20, 30):
+            sim.schedule_at(t, lambda: seen.append(sim.now))
+        assert sim.run(until=100, max_events=1) == 1
+        assert sim.now == 10  # the t=20 and t=30 events are still due
+        assert sim.run(until=100) == 2
+        assert seen == [10, 20, 30]
+        assert sim.now == 100
+
     def test_events_scheduled_during_run_execute(self):
         sim = Simulator()
         fired = []
