@@ -7,14 +7,18 @@ from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Callable, Deque, Dict, Optional, Tuple
 
 from repro.mac.base import MacAdapter
-from repro.radio.cc2420 import packet_airtime
 from repro.radio.frame import BROADCAST, Frame, FrameType
-from repro.radio.radio import Radio, RadioState
+from repro.radio.radio import IDLE, OFF, RECEIVING, TX, Radio
 from repro.sim.simulator import Simulator
 from repro.sim.units import MILLISECOND
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.radio.profiles import RadioProfile
+
+#: Frame types tested on every decoded frame, as module globals (an Enum
+#: member read through its class costs several times a global read).
+_ACK = FrameType.ACK
+_WIFI = FrameType.WIFI
 
 
 @dataclass
@@ -127,11 +131,6 @@ class LPLMac(MacAdapter):
     """
 
     ACK_LENGTH = 11
-    #: Historical CC2420 values, kept for back-compat; instances use the
-    #: profile-derived ``self.ack_airtime`` / ``self.turnaround``.
-    ACK_AIRTIME = packet_airtime(ACK_LENGTH)
-    #: RX→TX turnaround before an ack (12 symbol periods on the CC2420).
-    TURNAROUND = 192
 
     def __init__(
         self,
@@ -223,7 +222,7 @@ class LPLMac(MacAdapter):
         params = self.params
         sim = self.sim
         sim.schedule(params.wake_interval, self._wake_up)
-        if self._train is not None or self.radio.is_on:
+        if self._train is not None or self.radio.state is not OFF:
             return  # busy sending or still awake from last activity
         self.radio.turn_on()
         listen = params.listen_window
@@ -235,9 +234,10 @@ class LPLMac(MacAdapter):
 
     def _sample_channel(self, samples_left: int) -> None:
         radio = self.radio
-        if not radio.is_on or radio.state is RadioState.TX:
+        state = radio.state
+        if state is OFF or state is TX:
             return
-        if radio.state is RadioState.RECEIVING or not radio.cca_clear():
+        if state is RECEIVING or not radio.cca_clear():
             self._extend_awake()
             return  # energy found; stay up to receive, stop sampling
         if samples_left > 1:
@@ -262,13 +262,14 @@ class LPLMac(MacAdapter):
             self.sim.schedule(3 * MILLISECOND, self._maybe_sleep)
 
     def _maybe_sleep(self) -> None:
-        if self.always_on or not self.radio.is_on:
+        state = self.radio.state
+        if self.always_on or state is OFF:
             return
         if self._train is not None:
             return  # the train teardown handles sleeping
         if self.sim.now < self._awake_until:
             return  # a later _maybe_sleep is scheduled
-        if self.radio.state in (RadioState.RECEIVING, RadioState.TX):
+        if state is RECEIVING or state is TX:
             self.sim.schedule(2 * MILLISECOND, self._maybe_sleep)
             return
         self.radio.turn_off()
@@ -353,11 +354,12 @@ class LPLMac(MacAdapter):
             train = self._train
         if train is None or train is not self._train or train.finished:
             return
-        if not self.radio.is_on:
+        state = self.radio.state
+        if state is OFF:
             # Node failure injected mid-train: abort the send.
             self._finish_train(ok=False, reason="dead")
             return
-        if self.radio.state in (RadioState.RECEIVING, RadioState.TX):
+        if state is RECEIVING or state is TX:
             # Let the in-flight reception or ack transmission finish first.
             self.sim.schedule(2 * MILLISECOND, self._csma_then_send, train)
             return
@@ -382,10 +384,11 @@ class LPLMac(MacAdapter):
         ):
             self._finish_train(ok=plain_broadcast, reason="" if plain_broadcast else "timeout")
             return
-        if not self.radio.is_on:
+        state = self.radio.state
+        if state is OFF:
             self._finish_train(ok=False, reason="dead")
             return
-        if self.radio.state in (RadioState.RECEIVING, RadioState.TX):
+        if state is RECEIVING or state is TX:
             self.sim.schedule(2 * MILLISECOND, self._send_copy, train)
             return
         train.copies += 1
@@ -417,8 +420,7 @@ class LPLMac(MacAdapter):
             and train.anycast
             and acker is not None
             and self.params.handover_announce
-            and self.radio.is_on
-            and self.radio.state is RadioState.IDLE
+            and self.radio.state is IDLE
         ):
             announce = Frame(
                 src=self.node_id,
@@ -454,10 +456,11 @@ class LPLMac(MacAdapter):
             self._seen.popitem(last=False)
 
     def _on_frame(self, frame: Frame, rssi: float) -> None:
-        if frame.type is FrameType.ACK:
+        frame_type = frame.type
+        if frame_type is _ACK:
             self._handle_ack(frame)
             return
-        if frame.type is FrameType.WIFI:
+        if frame_type is _WIFI:
             return  # foreign modulation, never decodable
         if frame.src == self.node_id:
             return
@@ -527,10 +530,8 @@ class LPLMac(MacAdapter):
             return  # cache evicted; ignore stale event
         if not self._seen[frame.frame_id]:
             return  # suppressed meanwhile
-        if not self.radio.is_on or self.radio.state in (
-            RadioState.TX,
-            RadioState.RECEIVING,
-        ):
+        state = self.radio.state
+        if state is OFF or state is TX or state is RECEIVING:
             return
         self._send_ack(frame)
         if frame.frame_id not in self._delivered_ids:
@@ -544,10 +545,8 @@ class LPLMac(MacAdapter):
         self.sim.schedule(self.turnaround, self._transmit_ack, frame)
 
     def _transmit_ack(self, frame: Frame) -> None:
-        if not self.radio.is_on or self.radio.state in (
-            RadioState.TX,
-            RadioState.RECEIVING,
-        ):
+        state = self.radio.state
+        if state is OFF or state is TX or state is RECEIVING:
             return
         ack = Frame(
             src=self.node_id,

@@ -20,15 +20,14 @@ packets is weighted by their temporal overlap with the frame.
 
 from __future__ import annotations
 
-import math
 import random
-from dataclasses import dataclass, field
+from math import log10
 from typing import Any, Callable, Dict, List, Optional, Protocol, Set, Tuple
 
 from repro.radio.frame import Frame
-from repro.radio.noise import CPMNoiseModel, ConstantNoise
+from repro.radio.noise import ConstantNoise, NoiseModel
 from repro.radio.profiles import RadioProfile, get_radio_profile
-from repro.radio.radio import Radio, RadioState
+from repro.radio.radio import IDLE, RECEIVING, Radio
 from repro.radio.spatial import SpatialChannel, get_numpy
 from repro.sim.simulator import Simulator
 
@@ -42,7 +41,7 @@ def mw_to_dbm(mw: float) -> float:
     """Convert milliwatts to dBm (floored at -200)."""
     if mw <= 0.0:
         return -200.0
-    return 10.0 * math.log10(mw)
+    return 10.0 * log10(mw)
 
 
 class Interferer(Protocol):
@@ -52,27 +51,48 @@ class Interferer(Protocol):
         """Current in-band power at ``node_id`` in dBm, or None when idle."""
 
 
-@dataclass
 class _Transmission:
-    src: int
-    frame: Frame
-    start: int
-    end: int
-    #: Received power per potential receiver (dBm), filled at start.
-    rx_power_dbm: Dict[int, float] = field(default_factory=dict)
-    #: Receivers locked onto this packet, in lock order — the exact order
-    #: ``_end_transmission`` must resolve them in (it matches the pending-dict
-    #: insertion order the resolution loop historically iterated, so the
-    #: shared channel RNG stream is consumed identically).
-    locked: List[Tuple[int, "_PendingReception"]] = field(default_factory=list)
+    """One frame on the air.
+
+    A slotted class with identity equality: ``_active.remove(tx)`` stops at
+    ``tx`` without comparing field tuples of the entries ahead of it.
+    """
+
+    __slots__ = ("src", "frame", "start", "end", "rx_power_dbm", "locked")
+
+    def __init__(
+        self, src: int, frame: Frame, start: int, end: int, rx_power_dbm: Dict[int, float]
+    ) -> None:
+        self.src = src
+        self.frame = frame
+        self.start = start
+        self.end = end
+        #: Received power per potential receiver (dBm), shared read-only.
+        self.rx_power_dbm = rx_power_dbm
+        #: Receivers locked onto this packet, in lock order — the exact order
+        #: ``_end_transmission`` must resolve them in (it matches the
+        #: pending-dict insertion order the resolution loop historically
+        #: iterated, so the shared channel RNG stream is consumed identically).
+        self.locked: List[Tuple[int, _PendingReception]] = []
 
 
-@dataclass
 class _PendingReception:
-    transmission: _Transmission
-    rx_power_dbm: float
-    #: mW·ticks of interference accumulated from overlapping packets.
-    interference_mw_ticks: float = 0.0
+    """One receiver locked onto a transmission.
+
+    It keeps the transmission's end tick, not the transmission: with a
+    back-reference each locked transmission would form a reference cycle
+    with its receptions, left for the cyclic collector to find instead of
+    being freed when its airtime ends.
+    """
+
+    __slots__ = ("end", "rx_power_dbm", "interference_mw_ticks")
+
+    def __init__(self, end: int, rx_power_dbm: float) -> None:
+        #: Tick at which the locked frame's airtime ends.
+        self.end = end
+        self.rx_power_dbm = rx_power_dbm
+        #: mW·ticks of interference accumulated from overlapping packets.
+        self.interference_mw_ticks = 0.0
 
 
 class Channel:
@@ -90,10 +110,6 @@ class Channel:
     are culled before any per-receiver SNR work.
     """
 
-    #: Historical CC2420 deaf threshold, kept for back-compat; instances use
-    #: the profile-derived ``self.deaf_threshold_dbm``.
-    DEAF_THRESHOLD_DBM = -110.0
-
     #: Audible-list length from which the vectorised rx-map path pays off.
     _NUMPY_MIN_AUDIBLE = 32
 
@@ -101,7 +117,7 @@ class Channel:
         self,
         sim: Simulator,
         gains: Optional[Dict[Tuple[int, int], float]] = None,
-        noise_model: Optional[CPMNoiseModel] = None,
+        noise_model: Optional[NoiseModel] = None,
         cca_threshold_dbm: Optional[float] = None,
         fading_sigma_db: float = 0.0,
         fading_coherence: int = 5_000_000,
@@ -114,12 +130,14 @@ class Channel:
         self.sim = sim
         # PHY dispatch: airtime, PRR curve, and reception thresholds all come
         # from the radio profile (default: CC2420, numerically identical to
-        # the historical hard-wired constants). The hot-path callables are
-        # bound once here so per-packet dispatch is one attribute load.
+        # the historical hard-wired constants). The per-reception PRR curve
+        # is bound once here so its dispatch is one attribute load.
         if profile is None:
             profile = get_radio_profile(None)
         self.profile = profile
-        self._airtime = profile.packet_airtime
+        #: Airtime per frame length: a pure function of the length on a
+        #: fixed profile, so nothing invalidates an entry.
+        self._airtimes: Dict[int, int] = {}
         self._prr = profile.prr
         self._sensitivity = profile.sensitivity_dbm
         self.deaf_threshold_dbm = profile.deaf_threshold_dbm
@@ -146,9 +164,10 @@ class Channel:
         self._rx_cache: Dict[int, Tuple[int, float, int, Dict[int, float], List[int]]] = {}
         self._fault_epoch = 0
         self._radios: Dict[int, Radio] = {}
-        self._on_radios: Set[int] = set()
-        self._noise_master = noise_model if noise_model is not None else ConstantNoise()
-        self._noise: Dict[int, object] = {}
+        self._noise_master: NoiseModel = (
+            noise_model if noise_model is not None else ConstantNoise()
+        )
+        self._noise: Dict[int, NoiseModel] = {}
         self._active: List[_Transmission] = []
         self._pending: Dict[int, _PendingReception] = {}  # receiver -> reception
         self._interferers: List[Interferer] = []
@@ -272,39 +291,32 @@ class Channel:
         """Register an external in-band energy source."""
         self._interferers.append(interferer)
 
-    def note_radio_on(self, radio: Radio) -> None:
-        """Track that a radio powered on (channel bookkeeping)."""
-        self._on_radios.add(radio.node_id)
-
     def note_radio_off(self, radio: Radio) -> None:
-        """Track that a radio powered off (channel bookkeeping)."""
-        self._on_radios.discard(radio.node_id)
+        """A radio powered off: drop the reception it was decoding."""
         self._pending.pop(radio.node_id, None)
 
     # ---------------------------------------------------------------- energy
-    def _noise_dbm(self, node_id: int) -> float:
-        return self._noise[node_id].sample()  # type: ignore[union-attr]
-
-    def _interference_mw(self, node_id: int) -> float:
-        total = 0.0
-        for interferer in self._interferers:
-            dbm = interferer.interference_dbm_at(node_id)
-            if dbm is not None:
-                total += dbm_to_mw(dbm)
-        return total
-
     def energy_dbm_at(self, node_id: int) -> float:
         """Instantaneous in-band energy a CCA at ``node_id`` would read."""
-        # Hot per-CCA path: dbm_to_mw is inlined and the interferer query is
-        # skipped when there are none (it would add exactly 0.0).
-        total_mw = 10.0 ** (self._noise[node_id].sample() / 10.0)  # type: ignore[union-attr]
-        if self._interferers:
-            total_mw += self._interference_mw(node_id)
+        # Hot per-CCA path: dbm_to_mw and mw_to_dbm are inlined, and the
+        # interferer query is skipped when there are none (it would add
+        # exactly 0.0). Interferers are summed into their own accumulator
+        # before joining the total: noise + (i1 + i2 + ...), never
+        # (noise + i1) + i2.
+        total_mw = 10.0 ** (self._noise[node_id].sample() / 10.0)
+        interferers = self._interferers
+        if interferers:
+            extra_mw = 0.0
+            for interferer in interferers:
+                dbm = interferer.interference_dbm_at(node_id)
+                if dbm is not None:
+                    extra_mw += 10.0 ** (dbm / 10.0)
+            total_mw += extra_mw
         for tx in self._active:
             power = tx.rx_power_dbm.get(node_id)
             if power is not None:
                 total_mw += 10.0 ** (power / 10.0)
-        return mw_to_dbm(total_mw)
+        return -200.0 if total_mw <= 0.0 else 10.0 * log10(total_mw)
 
     # ----------------------------------------------------------------- fading
     def fading_db(self, a: int, b: int) -> float:
@@ -384,7 +396,10 @@ class Channel:
         self, radio: Radio, frame: Frame, done: Optional[Callable[[], None]]
     ) -> None:
         """Put a frame on the air from ``radio``."""
-        airtime = self._airtime(frame.length)
+        length = frame.length
+        airtime = self._airtimes.get(length)
+        if airtime is None:
+            airtime = self._airtimes[length] = self.profile.packet_airtime(length)
         now = self.sim.now
         src = radio.node_id
         tx_end = now + airtime
@@ -416,7 +431,7 @@ class Channel:
         # (set) order across receptions cannot change a float.
         for receiver_id in pending_map.keys() & rx_map.keys():
             pending = pending_map[receiver_id]
-            end = pending.transmission.end
+            end = pending.end
             overlap = (end if end < tx_end else tx_end) - now
             if overlap > 0:
                 pending.interference_mw_ticks += (
@@ -426,15 +441,13 @@ class Channel:
         # _end_transmission resolves them, drawing the channel RNG).
         radios = self._radios
         locked = tx.locked
-        idle = RadioState.IDLE
         for receiver_id in lockable:
             receiver = radios.get(receiver_id)
             if receiver is None:
                 continue  # position known but no radio attached
-            if receiver.state is idle and receiver_id not in pending_map:
-                receiver.state = RadioState.RECEIVING
-                receiver.locked_frame_id = frame.frame_id
-                reception = _PendingReception(tx, rx_map[receiver_id])
+            if receiver.state is IDLE and receiver_id not in pending_map:
+                receiver.state = RECEIVING
+                reception = _PendingReception(tx_end, rx_map[receiver_id])
                 pending_map[receiver_id] = reception
                 locked.append((receiver_id, reception))
         # Pre-existing overlapping transmissions interfere with this packet's
@@ -467,34 +480,47 @@ class Channel:
         # exactly the receivers that locked on, in the order the historical
         # full-pending scan would visit them — so the noise samples and the
         # shared channel-RNG PRR draws happen in the identical sequence —
-        # without walking every unrelated in-flight reception.
+        # without walking every unrelated in-flight reception. The noise,
+        # interferer and dBm arithmetic is energy_dbm_at's, with the same
+        # float grouping.
         pending_map = self._pending
         radios = self._radios
+        noise = self._noise
+        interferers = self._interferers
+        prr_of = self._prr
+        rng_random = self._rng.random
+        frame = tx.frame
         for receiver_id, reception in tx.locked:
             if pending_map.get(receiver_id) is not reception:
                 continue  # receiver powered off (and possibly re-locked) mid-air
             del pending_map[receiver_id]
             receiver = radios.get(receiver_id)
-            if receiver is None or receiver.state is not RadioState.RECEIVING:
+            if receiver is None or receiver.state is not RECEIVING:
                 continue
-            receiver.state = RadioState.IDLE
-            receiver.locked_frame_id = None
-            noise_mw = 10.0 ** (self._noise[receiver_id].sample() / 10.0)  # type: ignore[union-attr]
-            if self._interferers:
-                noise_mw += self._interference_mw(receiver_id)
+            receiver.state = IDLE
+            noise_mw = 10.0 ** (noise[receiver_id].sample() / 10.0)
+            if interferers:
+                extra_mw = 0.0
+                for interferer in interferers:
+                    dbm = interferer.interference_dbm_at(receiver_id)
+                    if dbm is not None:
+                        extra_mw += 10.0 ** (dbm / 10.0)
+                noise_mw += extra_mw
             if airtime > 0:
                 noise_mw += reception.interference_mw_ticks / airtime
-            sinr_db = reception.rx_power_dbm - mw_to_dbm(noise_mw)
-            prr = self._prr(sinr_db, tx.frame.length)
-            if self._rng.random() < prr:
+            rx_power = reception.rx_power_dbm
+            sinr_db = rx_power - (-200.0 if noise_mw <= 0.0 else 10.0 * log10(noise_mw))
+            prr = prr_of(sinr_db, frame.length)
+            if rng_random() < prr:
                 if self.reception_filters and not self._reception_allowed(
-                    tx.src, receiver_id, tx.frame
+                    tx.src, receiver_id, frame
                 ):
                     continue
-                receiver.deliver(tx.frame, reception.rx_power_dbm)
+                receiver.deliver(frame, rx_power)
                 for observer in self.delivery_observers:
-                    observer(receiver_id, tx.frame, reception.rx_power_dbm)
-        radio._transmission_done(done)
+                    observer(receiver_id, frame, rx_power)
+        if done is not None:
+            done()
 
     # ------------------------------------------------------------ fault hooks
     def _reception_allowed(self, src: int, dst: int, frame: Frame) -> bool:

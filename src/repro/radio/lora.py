@@ -28,6 +28,7 @@ from repro.sim.units import MICROSECOND, MILLISECOND, SECOND
 if TYPE_CHECKING:  # import cycles: mac builds on radio
     from repro.mac.base import MacAdapter
     from repro.mac.lpl import MacParams
+    from repro.radio.noise import NoiseModel
     from repro.radio.radio import Radio
     from repro.sim import Simulator
 
@@ -125,7 +126,7 @@ class LoRaProfile(RadioProfile):
         return (1.0 - ser) ** self.payload_symbols(frame_bytes)
 
     # -------------------------------------------------------------- defaults
-    def build_noise_model(self, kind: str, seed: int = 0) -> object:
+    def build_noise_model(self, kind: str, seed: int = 0) -> "NoiseModel":
         """A 125 kHz LoRa channel does not see 802.15.4-band CPM bursts;
         both noise kinds resolve to the profile's thermal floor."""
         from repro.radio.noise import ConstantNoise

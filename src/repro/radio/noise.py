@@ -21,7 +21,17 @@ from __future__ import annotations
 
 import random
 from collections import defaultdict
-from typing import Dict, List, Sequence, Tuple
+from typing import Dict, List, Protocol, Sequence, Tuple
+
+
+class NoiseModel(Protocol):
+    """Ambient-noise source the channel forks per node and draws from."""
+
+    def sample(self) -> float:
+        """Draw the next noise reading in dBm."""
+
+    def fork(self, seed: int) -> "NoiseModel":
+        """Per-node copy with an independent random stream."""
 
 
 def synthesize_meyer_like_trace(
@@ -96,6 +106,11 @@ class CPMNoiseModel:
         ]
         self._marginal: List[float] = list(trace_dbm)
         self._train(trace_dbm)
+        # Draw table: per history state, the candidate list the fallback walk
+        # settles on, with its length and bit length. Entries are pure
+        # functions of the trained tables, which never change after training,
+        # so nothing invalidates them; every fork shares this one memo.
+        self._draws: Dict[Tuple[int, ...], Tuple[List[float], int, int]] = {}
         # Model state is the quantised history window, maintained incrementally
         # as a tuple so sample() never re-bins the whole window.
         self._state_bins: Tuple[int, ...] = tuple(
@@ -142,6 +157,7 @@ class CPMNoiseModel:
         clone._rng = random.Random(seed)
         clone._tables = self._tables
         clone._marginal = self._marginal
+        clone._draws = self._draws
         start = clone._rng.randrange(len(self._marginal) - self.history)
         clone._state_bins = tuple(
             clone._bin(x) for x in self._marginal[start : start + self.history]
@@ -151,12 +167,31 @@ class CPMNoiseModel:
     def sample(self) -> float:
         """Draw the next noise reading (dBm) and advance the model state.
 
-        The index is drawn with ``Random.choice``'s own rejection loop over
-        ``getrandbits`` (the same bits, so the same element on every CPython
-        3.10–3.12), without choice's two call layers on this per-reception
-        and per-CCA path.
+        The candidate list comes from the draw table (one dict probe; the
+        fallback walk runs once per history state). The index is drawn with
+        ``Random.choice``'s own rejection loop over ``getrandbits`` (the same
+        bits, so the same element on every CPython 3.10–3.12), without
+        choice's two call layers on this per-reception and per-CCA path.
         """
         bins = self._state_bins
+        draw = self._draws.get(bins)
+        if draw is None:
+            draw = self._draw_entry(bins)
+        candidates, n, k = draw
+        getrandbits = self._rng.getrandbits
+        r = getrandbits(k)
+        while r >= n:
+            r = getrandbits(k)
+        value = candidates[r]
+        self._state_bins = bins[1:] + (int(value // self.bin_width_db),)
+        return value
+
+    def _draw_entry(self, bins: Tuple[int, ...]) -> Tuple[List[float], int, int]:
+        """Fill the draw-table entry of one history state.
+
+        The longest observed suffix of the history wins, falling back to
+        shorter histories and finally to the marginal distribution.
+        """
         tables = self._tables
         history = self.history
         candidates = self._marginal
@@ -166,14 +201,8 @@ class CPMNoiseModel:
                 candidates = matched
                 break
         n = len(candidates)
-        k = n.bit_length()
-        getrandbits = self._rng.getrandbits
-        r = getrandbits(k)
-        while r >= n:
-            r = getrandbits(k)
-        value = candidates[r]
-        self._state_bins = bins[1:] + (int(value // self.bin_width_db),)
-        return value
+        draw = self._draws[bins] = (candidates, n, n.bit_length())
+        return draw
 
 
 class ConstantNoise:

@@ -28,6 +28,7 @@ from repro.sim.units import MICROSECOND
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.mac.base import MacAdapter
     from repro.mac.lpl import MacParams
+    from repro.radio.noise import NoiseModel
     from repro.radio.radio import Radio
     from repro.sim.simulator import Simulator
 
@@ -108,7 +109,7 @@ class RadioProfile:
         return self.rx_current_ma  # pragma: no cover - unreachable
 
     # -------------------------------------------------------------- defaults
-    def build_noise_model(self, kind: str, seed: int = 0) -> object:
+    def build_noise_model(self, kind: str, seed: int = 0) -> "NoiseModel":
         """Ambient-noise model for ``NetworkConfig.noise`` (``"cpm"``/``"constant"``).
 
         The base implementation reproduces the harness's historical

@@ -25,6 +25,15 @@ class RadioState(Enum):
     RECEIVING = auto()  # on, locked to an incoming frame
 
 
+#: The states as module globals. Reading an Enum member through its class
+#: costs several times a global read, and the radio, the channel and the LPL
+#: MAC test ``radio.state`` on every CCA sample, frame copy and reception.
+OFF = RadioState.OFF
+IDLE = RadioState.IDLE
+TX = RadioState.TX
+RECEIVING = RadioState.RECEIVING
+
+
 class RadioError(RuntimeError):
     """Raised on invalid radio operations (e.g. transmit while off)."""
 
@@ -43,14 +52,12 @@ class Radio:
         self.channel = channel
         self.node_id = node_id
         self.tx_power_dbm = tx_power_dbm
-        self.state = RadioState.OFF
+        self.state = OFF
         #: MAC callback: (frame, rssi_dbm) for every successfully decoded frame.
         self.on_receive: Optional[Callable[[Frame, float], None]] = None
         #: Cumulative on-time in ticks; plus the instant we last turned on.
         self._on_time = 0
         self._on_since: Optional[int] = None
-        #: Frame currently being decoded (set by the channel).
-        self.locked_frame_id: Optional[int] = None
         self.tx_count = 0
         #: Failure injection: a failed radio ignores turn_on until recovered.
         self.failed = False
@@ -60,23 +67,23 @@ class Radio:
     @property
     def is_on(self) -> bool:
         """True unless the radio is powered off."""
-        return self.state is not RadioState.OFF
+        return self.state is not OFF
 
     def fail(self) -> None:
         """Inject a node failure: power down and ignore wake-ups."""
         self.failed = True
-        if self.state is RadioState.TX:
+        if self.state is TX:
             # Let the in-flight frame finish, then power down.
             self.sim.schedule(5_000, self._fail_when_idle)
-        elif self.state is not RadioState.OFF:
+        elif self.state is not OFF:
             self.turn_off()
 
     def _fail_when_idle(self) -> None:
         if not self.failed:
             return
-        if self.state is RadioState.TX:
+        if self.state is TX:
             self.sim.schedule(5_000, self._fail_when_idle)
-        elif self.state is not RadioState.OFF:
+        elif self.state is not OFF:
             self.turn_off()
 
     def recover(self) -> None:
@@ -85,23 +92,22 @@ class Radio:
 
     def turn_on(self) -> None:
         """Power the radio up into listening state (no-op if already on)."""
-        if self.failed or self.state is not RadioState.OFF:
+        if self.failed or self.state is not OFF:
             return
-        self.state = RadioState.IDLE
+        self.state = IDLE
         self._on_since = self.sim.now
-        self.channel.note_radio_on(self)
 
     def turn_off(self) -> None:
         """Power the radio down, aborting any in-flight reception."""
-        if self.state is RadioState.OFF:
+        state = self.state
+        if state is OFF:
             return
-        if self.state is RadioState.TX:
+        if state is TX:
             raise RadioError(f"node {self.node_id}: cannot turn off mid-transmission")
         assert self._on_since is not None
         self._on_time += self.sim.now - self._on_since
         self._on_since = None
-        self.state = RadioState.OFF
-        self.locked_frame_id = None
+        self.state = OFF
         self.channel.note_radio_off(self)
 
     def on_time(self) -> int:
@@ -126,12 +132,12 @@ class Radio:
         The radio must be on and not already transmitting. An in-progress
         reception is abandoned (half-duplex).
         """
-        if self.state is RadioState.OFF:
+        state = self.state
+        if state is OFF:
             raise RadioError(f"node {self.node_id}: transmit while radio off")
-        if self.state is RadioState.TX:
+        if state is TX:
             raise RadioError(f"node {self.node_id}: transmit while already transmitting")
-        self.state = RadioState.TX
-        self.locked_frame_id = None
+        self.state = TX
         self.tx_count += 1
         self.channel.start_transmission(self, frame, done)
 
@@ -141,23 +147,17 @@ class Radio:
         Called *before* the channel resolves receptions of this frame so that
         an immediate acknowledgement finds the sender already listening.
         """
-        if self.state is RadioState.TX:
-            self.state = RadioState.IDLE
-
-    def _transmission_done(self, done: Optional[Callable[[], None]]) -> None:
-        """Channel callback: invoke the MAC's completion hook."""
-        if done is not None:
-            done()
+        if self.state is TX:
+            self.state = IDLE
 
     # ------------------------------------------------------------------- CCA
     def cca_clear(self, threshold_dbm: Optional[float] = None) -> bool:
         """Clear-channel assessment: True when in-band energy is below threshold."""
-        if self.state is RadioState.OFF:
+        if self.state is OFF:
             raise RadioError(f"node {self.node_id}: CCA while radio off")
-        return self.channel.energy_dbm_at(self.node_id) < (
-            threshold_dbm
-            if threshold_dbm is not None
-            else self.channel.cca_threshold_dbm
+        channel = self.channel
+        return channel.energy_dbm_at(self.node_id) < (
+            threshold_dbm if threshold_dbm is not None else channel.cca_threshold_dbm
         )
 
     def deliver(self, frame: Frame, rssi_dbm: float) -> None:

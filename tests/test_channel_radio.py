@@ -1,8 +1,10 @@
 """Integration tests for the channel + radio layer."""
 
+import gc
+
 import pytest
 
-from repro.radio.channel import Channel, dbm_to_mw, mw_to_dbm
+from repro.radio.channel import Channel, _PendingReception, _Transmission, dbm_to_mw, mw_to_dbm
 from repro.radio.frame import BROADCAST, Frame, FrameType
 from repro.radio.noise import ConstantNoise
 from repro.radio.propagation import LogDistancePathLoss
@@ -154,6 +156,32 @@ class TestDelivery:
         sim.run(until=1 * SECOND)
         assert observed == [1]
 
+    def test_receptions_leave_no_cyclic_garbage(self):
+        # A transmission and the receptions locked onto it must be freed by
+        # reference counting; a cycle between them leaves every locked
+        # frame to the cyclic collector.
+        gc.collect()
+        gc.disable()
+        try:
+            sim, channel, (a, b) = make_pair(distance=8.0)
+            received = []
+            b.on_receive = lambda frame, rssi: received.append(frame)
+            a.turn_on()
+            b.turn_on()
+            a.transmit(Frame(src=0, dst=1, type=FrameType.DATA))
+            sim.run(until=1 * SECOND)
+            assert len(received) == 1
+            gc.set_debug(gc.DEBUG_SAVEALL)
+            gc.collect()
+            leaked = [
+                obj for obj in gc.garbage if isinstance(obj, (_Transmission, _PendingReception))
+            ]
+        finally:
+            gc.set_debug(0)
+            gc.garbage.clear()
+            gc.enable()
+        assert leaked == []
+
     def test_duplicate_radio_id_rejected(self):
         sim, channel, _ = make_pair()
         with pytest.raises(ValueError):
@@ -180,6 +208,64 @@ class TestCCA:
         _, _, (a, _) = make_pair()
         with pytest.raises(RadioError):
             a.cca_clear()
+
+
+class _FixedInterferer:
+    """External source holding one in-band power at every node."""
+
+    def __init__(self, dbm):
+        self.dbm = dbm
+
+    def interference_dbm_at(self, node_id):
+        return self.dbm
+
+
+class TestInterfererGrouping:
+    """Interferers join the noise as ``noise + (i1 + i2)``, never ``(noise + i1) + i2``.
+
+    The golden corpus runs one interferer, so only these pins would see the
+    sum reassociated. The powers are chosen so the two groupings differ in
+    the last bit, and each test asserts that they do.
+    """
+
+    INTERFERERS_DBM = (-93.7, -92.3)
+
+    def _channel(self):
+        sim, channel, radios = make_pair()
+        for dbm in self.INTERFERERS_DBM:
+            channel.add_interferer(_FixedInterferer(dbm))
+        return sim, channel, radios
+
+    def _groupings(self):
+        noise_mw = dbm_to_mw(ConstantNoise().dbm)
+        a_mw, b_mw = (dbm_to_mw(dbm) for dbm in self.INTERFERERS_DBM)
+        return noise_mw + (a_mw + b_mw), (noise_mw + a_mw) + b_mw
+
+    def test_energy_read_sums_interferers_first(self):
+        _, channel, (a, _) = self._channel()
+        a.turn_on()
+        grouped, chained = self._groupings()
+        assert mw_to_dbm(grouped) != mw_to_dbm(chained)
+        assert channel.energy_dbm_at(0) == mw_to_dbm(grouped)
+
+    def test_reception_sinr_sums_interferers_first(self):
+        sim, channel, (a, b) = self._channel()
+        prr = channel._prr
+        sinrs = []
+
+        def capture(sinr_db, frame_bytes):
+            sinrs.append(sinr_db)
+            return prr(sinr_db, frame_bytes)
+
+        channel._prr = capture
+        a.turn_on()
+        b.turn_on()
+        a.transmit(Frame(src=0, dst=1, type=FrameType.DATA))
+        sim.run(until=1 * SECOND)
+        rx_power = a.tx_power_dbm + channel.link_gain(0, 1)
+        grouped, chained = self._groupings()
+        assert rx_power - mw_to_dbm(grouped) != rx_power - mw_to_dbm(chained)
+        assert sinrs == [rx_power - mw_to_dbm(grouped)]
 
 
 class TestFading:

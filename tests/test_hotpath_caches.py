@@ -8,7 +8,9 @@ Each cache must answer exactly what the computation it replaced would:
   per-neighbour candidate-cost scan, over random tables with cost ties,
   TTL expiry, child and loop exclusion, and ``parent_unreachable``;
 - the memoised ``CC2420.prr`` against the unmemoised curve;
-- ``CPMNoiseModel.sample``'s inlined index draw against ``Random.choice``.
+- ``CPMNoiseModel.sample``'s draw table and inlined index draw against
+  ``Random.choice``, for history lengths 1-5, a trace forcing the
+  shorter-history and marginal fallbacks, and forks drawn interleaved.
 """
 
 from __future__ import annotations
@@ -241,28 +243,57 @@ def test_memoised_prr_matches_curve(snr_db, frame_bytes):
     assert CC2420.prr(snr_db, frame_bytes) == first  # a memo hit
 
 
-_MASTER = CPMNoiseModel(synthesize_meyer_like_trace(length=3000, seed=4), seed=4)
+_TRACE = synthesize_meyer_like_trace(length=3000, seed=4)
+
+#: A trace built to leave the trained patterns: the last reading's bin
+#: occurs nowhere else, so drawing it makes a history whose newest bin has
+#: no table entry (the marginal fallback), and the marginal draw after it
+#: makes a history only a shorter suffix matches.
+_FALLBACK_TRACE = [0.5, 2.5, 0.5, 0.5, 2.5, 2.5, 0.5, 41.0]
+
+_MASTERS = {f"history-{h}": CPMNoiseModel(_TRACE, history=h, seed=4) for h in range(1, 6)}
+_MASTERS["fallbacks"] = CPMNoiseModel(_FALLBACK_TRACE, history=2, seed=0)
 
 
-def _choice_sample(model: CPMNoiseModel) -> float:
-    """One CPM step drawing its reading with ``Random.choice``."""
+def _choice_sample(model: CPMNoiseModel, levels: set) -> float:
+    """One CPM step drawing its reading with ``Random.choice``.
+
+    Adds the level the history matched at to ``levels``: ``"full"``,
+    ``"shorter"`` or ``"marginal"``.
+    """
     bins = model._state_bins
     history = model.history
     for h in range(history, 0, -1):
         candidates = model._tables[h - 1].get(bins[history - h :])
         if candidates:
+            levels.add("full" if h == history else "shorter")
             value = model._rng.choice(candidates)
             break
     else:
+        levels.add("marginal")
         value = model._rng.choice(model._marginal)
     model._state_bins = bins[1:] + (int(value // model.bin_width_db),)
     return value
 
 
 @settings(max_examples=50, deadline=None)
-@given(st.integers(min_value=0, max_value=2**40))
-def test_noise_draw_matches_random_choice(seed):
-    model, reference = _MASTER.fork(seed), _MASTER.fork(seed)
-    for _ in range(300):
-        assert model.sample() == _choice_sample(reference)
-    assert model._rng.getstate() == reference._rng.getstate()
+@given(
+    st.sampled_from(sorted(_MASTERS)),
+    st.lists(st.integers(min_value=0, max_value=2**40), min_size=1, max_size=4, unique=True),
+    st.integers(min_value=0, max_value=2**32),
+)
+def test_noise_draw_matches_random_choice(master, seeds, order_seed):
+    # Several forks of one master draw interleaved, each against its own
+    # reference: a draw table that kept per-fork state would diverge.
+    models = [_MASTERS[master].fork(seed) for seed in seeds]
+    references = [_MASTERS[master].fork(seed) for seed in seeds]
+    order = random.Random(order_seed)
+    levels: set = set()
+    for _ in range(300 * len(seeds)):
+        i = order.randrange(len(seeds))
+        assert models[i].sample() == _choice_sample(references[i], levels)
+    for model, reference in zip(models, references):
+        assert model._rng.getstate() == reference._rng.getstate()
+        assert model._state_bins == reference._state_bins
+    if master == "fallbacks":
+        assert levels == {"full", "shorter", "marginal"}
