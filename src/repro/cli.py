@@ -30,6 +30,7 @@ from repro.experiments.codestats import (
     reverse_hop_counts,
 )
 from repro.experiments.comparison import ComparisonResult, run_comparison
+from repro.experiments.registry import GRIDS
 from repro.faults import CHAOS_SCENARIOS
 from repro.metrics.stats import mean, percentile
 from repro.protocols import variant_names
@@ -292,17 +293,6 @@ def _cmd_all(args: argparse.Namespace) -> int:
     return 0
 
 
-#: Grid name → the comparison variants it covers. Channels default to the
-#: paper's clean channel (26) except the full matrix, which runs both.
-_RUN_GRIDS: Dict[str, tuple] = {
-    "fig7": ("drip", "re-tele", "tele", "rpl"),
-    "fig8": ("tele", "rpl"),
-    "fig10": ("drip", "tele", "rpl"),
-    "table3": ("tele", "re-tele", "rpl", "drip"),
-    "compare": ("tele", "re-tele", "rpl", "drip"),
-}
-
-
 def _build_runner(args: argparse.Namespace):
     """The ParallelRunner shared by every ``repro run`` grid."""
     from repro.runner import ParallelRunner, ResultCache
@@ -316,16 +306,6 @@ def _build_runner(args: argparse.Namespace):
     journal_dir = args.journal_dir
     if journal_dir is None and args.resume:
         journal_dir = ".repro-journal"
-    executor = None
-    if getattr(args, "queue_dir", None):
-        from repro.farm import QueueExecutor
-
-        executor = QueueExecutor(
-            args.queue_dir,
-            workers=args.farm_workers,
-            self_drain=not args.no_self_drain,
-            lease_ttl=args.lease_ttl,
-        )
     return ParallelRunner(
         jobs=args.jobs,
         cache=cache,
@@ -335,7 +315,6 @@ def _build_runner(args: argparse.Namespace):
         resume=args.resume,
         watchdog=args.watchdog,
         handle_signals=True,
-        executor=executor,
     )
 
 
@@ -354,528 +333,19 @@ def _finish_run(run_report) -> int:
     return EXIT_OK if run_report.failed == 0 else EXIT_FAILED
 
 
-def _schedule_overrides(args: argparse.Namespace) -> Dict[str, float]:
-    """Optional converge/drain schedule overrides for grid spec builders."""
-    overrides: Dict[str, float] = {}
-    if args.converge is not None:
-        overrides["converge_seconds"] = args.converge
-    if args.drain is not None:
-        overrides["drain_seconds"] = args.drain
-    return overrides
-
-
 def _cmd_run(args: argparse.Namespace) -> int:
     """Run an experiment grid through the parallel execution engine."""
-    from repro.experiments.sweep import AggregateMetric
-    from repro.metrics.io import comparison_from_dict, save_results
-    from repro.runner import comparison_spec
-
-    if args.grid == "chaos":
-        return _cmd_run_chaos(args)
-    if args.grid == "scale":
-        return _cmd_run_scale(args)
-    if args.grid == "soak":
-        return _cmd_run_soak(args)
-    if args.grid == "lora":
-        return _cmd_run_lora(args)
-
-    variants = _RUN_GRIDS[args.grid]
-    channels = args.channels
-    if channels is None:
-        channels = [26, 19] if args.grid in ("compare", "table3") else [26]
-    schedule = _schedule_overrides(args)
-    specs = [
-        comparison_spec(
-            variant,
-            zigbee_channel=channel,
-            seed=seed,
-            n_controls=args.controls if args.controls is not None else 20,
-            control_interval_s=args.interval if args.interval is not None else 60.0,
-            **schedule,
-        )
-        for channel in channels
-        for variant in variants
-        for seed in args.seeds
-    ]
-    runner = _build_runner(args)
-    outcomes = runner.run(specs)
-
-    runs = []
-    rows = []
-    aggregates: Dict[tuple, Dict[str, AggregateMetric]] = {}
-    for outcome in outcomes:
-        params = outcome.spec.params
-        key = (params["variant"], params["zigbee_channel"])
-        if outcome.result is None:
-            rows.append([*key, params["seed"], outcome.status, "-", "-", "-", "-"])
-            continue
-        run = comparison_from_dict(outcome.result)
-        runs.append(run)
-        rows.append(
-            [
-                run.variant,
-                run.zigbee_channel,
-                run.seed,
-                outcome.status,
-                f"{run.pdr:.3f}" if run.pdr is not None else "n/a",
-                f"{run.tx_per_control:.2f}" if run.tx_per_control else "n/a",
-                f"{run.duty_cycle * 100:.2f}" if run.duty_cycle else "n/a",
-                f"{run.mean_latency:.2f}" if run.mean_latency else "n/a",
-            ]
-        )
-        cell = aggregates.setdefault(
-            key, {m: AggregateMetric() for m in ("pdr", "tx", "duty", "latency")}
-        )
-        cell["pdr"].add(run.pdr)
-        cell["tx"].add(run.tx_per_control)
-        cell["duty"].add(run.duty_cycle)
-        cell["latency"].add(run.mean_latency)
-
-    headers = ["variant", "ch", "seed", "status", "pdr", "tx/ctl", "duty%", "latency_s"]
-    print(
-        report.ascii_table(
-            headers, rows, title=f"Grid {args.grid}: per-cell results"
-        )
-    )
-    if len(args.seeds) > 1:
-        agg_rows = [
-            [
-                variant,
-                channel,
-                cell["pdr"].summary(),
-                cell["tx"].summary(),
-                cell["latency"].summary(),
-            ]
-            for (variant, channel), cell in sorted(aggregates.items())
-        ]
-        print()
-        print(
-            report.ascii_table(
-                ["variant", "ch", "pdr", "tx/ctl", "latency_s"],
-                agg_rows,
-                title=f"Grid {args.grid}: seed-averaged (n={len(args.seeds)})",
-            )
-        )
-    print()
-    print(runner.last_report.summary_table())
-    _write_csv(args.csv, headers, rows)
-    if args.out:
-        save_results(runs, args.out)
-        print(f"(results written to {args.out})")
-    return _finish_run(runner.last_report)
-
-
-def _cmd_run_chaos(args: argparse.Namespace) -> int:
-    """Chaos grid: sweep fault intensity × variant × seed under one scenario."""
     import json
 
-    from repro.experiments.chaos import chaos_grid_specs
-    from repro.experiments.sweep import AggregateMetric
-
-    specs = chaos_grid_specs(
-        args.variants,
-        args.intensities,
-        args.seeds,
-        scenario=args.scenario,
-        n_controls=args.controls if args.controls is not None else 20,
-        control_interval_s=args.interval if args.interval is not None else 60.0,
-        **_schedule_overrides(args),
-    )
+    experiment = GRIDS[args.grid]
     runner = _build_runner(args)
-    outcomes = runner.run(specs)
-
-    results = []
-    rows = []
-    aggregates: Dict[tuple, Dict[str, AggregateMetric]] = {}
-    for outcome in outcomes:
-        params = outcome.spec.params
-        key = (params["variant"], params["intensity"])
-        if outcome.result is None:
-            rows.append(
-                [*key, params["seed"], outcome.status, "-", "-", "-", "-", "-"]
-            )
-            continue
-        result = outcome.result
-        results.append(result)
-        recovery = result["recovery"]
-        mean_rec = recovery["mean_recovery_latency_s"]
-        rows.append(
-            [
-                result["variant"],
-                result["intensity"],
-                result["seed"],
-                outcome.status,
-                f"{result['pdr']:.3f}" if result["pdr"] is not None else "n/a",
-                f"{mean_rec:.1f}" if mean_rec is not None else "n/a",
-                recovery["backtracks"],
-                recovery["re_tele_invocations"],
-                recovery["stale_code_sends"],
-            ]
-        )
-        cell = aggregates.setdefault(
-            key, {m: AggregateMetric() for m in ("pdr", "recovery")}
-        )
-        cell["pdr"].add(result["pdr"])
-        cell["recovery"].add(mean_rec)
-
-    headers = [
-        "variant", "intensity", "seed", "status",
-        "pdr", "recovery_s", "backtracks", "re_tele", "stale",
-    ]
-    print(
-        report.ascii_table(
-            headers, rows, title=f"Chaos grid ({args.scenario}): per-cell results"
-        )
-    )
-    # The degradation curve: how delivery and recovery latency bend as the
-    # fault intensity rises, per variant.
-    agg_rows = [
-        [variant, intensity, cell["pdr"].summary(), cell["recovery"].summary()]
-        for (variant, intensity), cell in sorted(aggregates.items())
-    ]
-    print()
-    print(
-        report.ascii_table(
-            ["variant", "intensity", "pdr", "recovery_s"],
-            agg_rows,
-            title=(
-                f"Chaos degradation curve ({args.scenario}, "
-                f"n={len(args.seeds)} seeds)"
-            ),
-        )
-    )
+    outcomes = runner.run(experiment.expand(args))
+    headers, rows = experiment.render(args, outcomes)
     print()
     print(runner.last_report.summary_table())
     _write_csv(args.csv, headers, rows)
     if args.out:
-        with open(args.out, "w") as handle:
-            json.dump(results, handle, indent=2, sort_keys=True)
-        print(f"(results written to {args.out})")
-    return _finish_run(runner.last_report)
-
-
-def _cmd_run_lora(args: argparse.Namespace) -> int:
-    """Long-range grid: tele-vs-drip over a profile-derived km-scale field.
-
-    Each cell is one :func:`repro.experiments.lora.run_lora` call — the same
-    control protocols as the comparison grid, but priced by the long-range
-    radio profile (sub-kbps airtime, multi-km links, p-CSMA MAC). The
-    default schedule is already stretched for sub-kbps links, so
-    ``--controls``/``--interval`` default to the lora schedule rather than
-    the comparison one.
-    """
-    import json
-
-    from repro.experiments.lora import LORA_DEFAULTS, lora_grid_specs
-    from repro.experiments.sweep import AggregateMetric
-
-    specs = lora_grid_specs(
-        args.lora_variants,
-        args.seeds,
-        radio_profile=args.radio_profile,
-        n_controls=(
-            args.controls
-            if args.controls is not None
-            else LORA_DEFAULTS["n_controls"]
-        ),
-        control_interval_s=(
-            args.interval
-            if args.interval is not None
-            else LORA_DEFAULTS["control_interval_s"]
-        ),
-        **_schedule_overrides(args),
-    )
-    runner = _build_runner(args)
-    outcomes = runner.run(specs)
-
-    results = []
-    rows = []
-    aggregates: Dict[tuple, Dict[str, AggregateMetric]] = {}
-    for outcome in outcomes:
-        params = outcome.spec.params
-        key = (params["variant"],)
-        if outcome.result is None:
-            rows.append([*key, params["seed"], outcome.status, "-", "-", "-"])
-            continue
-        result = outcome.result
-        results.append(result)
-        rows.append(
-            [
-                result["variant"],
-                result["seed"],
-                outcome.status,
-                f"{result['pdr']:.3f}" if result["pdr"] is not None else "n/a",
-                (
-                    f"{result['mean_latency_s']:.1f}"
-                    if result["mean_latency_s"] is not None
-                    else "n/a"
-                ),
-                (
-                    f"{result['tx_per_control']:.2f}"
-                    if result["tx_per_control"]
-                    else "n/a"
-                ),
-            ]
-        )
-        cell = aggregates.setdefault(
-            key, {m: AggregateMetric() for m in ("pdr", "latency", "tx")}
-        )
-        cell["pdr"].add(result["pdr"])
-        cell["latency"].add(result["mean_latency_s"])
-        cell["tx"].add(result["tx_per_control"])
-
-    headers = ["variant", "seed", "status", "pdr", "latency_s", "tx/ctl"]
-    print(
-        report.ascii_table(
-            headers,
-            rows,
-            title=f"Long-range grid ({args.radio_profile}): per-cell results",
-        )
-    )
-    if len(args.seeds) > 1:
-        agg_rows = [
-            [
-                variant,
-                cell["pdr"].summary(),
-                cell["latency"].summary(),
-                cell["tx"].summary(),
-            ]
-            for (variant,), cell in sorted(aggregates.items())
-        ]
-        print()
-        print(
-            report.ascii_table(
-                ["variant", "pdr", "latency_s", "tx/ctl"],
-                agg_rows,
-                title=(
-                    f"Long-range grid ({args.radio_profile}, "
-                    f"n={len(args.seeds)} seeds)"
-                ),
-            )
-        )
-    print()
-    print(runner.last_report.summary_table())
-    _write_csv(args.csv, headers, rows)
-    if args.out:
-        with open(args.out, "w") as handle:
-            json.dump(results, handle, indent=2, sort_keys=True)
-        print(f"(results written to {args.out})")
-    return _finish_run(runner.last_report)
-
-
-def _cmd_run_scale(args: argparse.Namespace) -> int:
-    """City-scale grid: topology generator × network size × seed.
-
-    Each cell is one converge+control workload on a generated multi-thousand
-    node deployment with the grid-hash spatial index enabled (``--dense``
-    switches the brute-force O(N²) channel back on for A/B timing — same
-    digests, very different wall clock; see docs/performance.md).
-    """
-    import json
-
-    from repro.runner import scale_spec
-
-    schedule = _schedule_overrides(args)
-    if args.controls is not None:
-        schedule["n_controls"] = args.controls
-    if args.interval is not None:
-        schedule["control_interval_s"] = args.interval
-    specs = [
-        scale_spec(
-            topo,
-            size=size,
-            seed=seed,
-            spatial_index=not args.dense,
-            **schedule,
-        )
-        for topo in args.topos
-        for size in args.sizes
-        for seed in args.seeds
-    ]
-    runner = _build_runner(args)
-    outcomes = runner.run(specs)
-
-    results = []
-    rows = []
-    for outcome in outcomes:
-        params = outcome.spec.params
-        if outcome.result is None:
-            rows.append(
-                [params["topo"], params["size"], params["seed"], outcome.status]
-                + ["-"] * 5
-            )
-            continue
-        result = outcome.result
-        results.append(result)
-        rows.append(
-            [
-                result["topology"],
-                result["size"],
-                result["seed"],
-                outcome.status,
-                f"{result['pdr']:.3f}" if result["pdr"] is not None else "n/a",
-                (
-                    f"{result['mean_latency_s']:.3f}"
-                    if result["mean_latency_s"] is not None
-                    else "n/a"
-                ),
-                "yes" if result["converged"] else "NO",
-                result["events_executed"],
-                f"{result['events_per_sec']:,.0f}",
-            ]
-        )
-
-    headers = [
-        "topo", "nodes", "seed", "status",
-        "pdr", "latency_s", "converged", "events", "events/s",
-    ]
-    print(report.ascii_table(headers, rows, title="Scale grid: per-cell results"))
-    print()
-    print(runner.last_report.summary_table())
-    _write_csv(args.csv, headers, rows)
-    if args.out:
-        with open(args.out, "w") as handle:
-            json.dump(results, handle, indent=2, sort_keys=True)
-        print(f"(results written to {args.out})")
-    return _finish_run(runner.last_report)
-
-
-def _cmd_run_soak(args: argparse.Namespace) -> int:
-    """Endurance grid: protocol variant × churn intensity × seed.
-
-    Each cell is one multi-hour/multi-day soak under mobility churn and
-    battery depletion with memory-flat streaming metrics; the report shows
-    the whole-run summary plus the degradation tail of the slowest-decaying
-    cell (see docs/soak.md).
-    """
-    import json
-
-    from repro.experiments.soak import soak_grid_rows
-    from repro.runner import soak_spec
-
-    schedule = {}
-    if args.duration is not None:
-        schedule["duration_s"] = args.duration
-    if args.window is not None:
-        schedule["window_s"] = args.window
-    if args.battery_mah is not None:
-        schedule["battery_mah"] = args.battery_mah or None
-    if args.interval is not None:
-        schedule["control_interval_s"] = args.interval
-    if args.converge is not None:
-        schedule["converge_seconds"] = args.converge
-    specs = [
-        soak_spec(
-            variant,
-            seed=seed,
-            zigbee_channel=26,
-            churn_intensity=intensity,
-            **schedule,
-        )
-        for variant in args.variants
-        for intensity in args.intensities
-        for seed in args.seeds
-    ]
-    runner = _build_runner(args)
-    outcomes = runner.run(specs)
-
-    results = []
-    rows = []
-    for outcome in outcomes:
-        params = outcome.spec.params
-        if outcome.result is None:
-            rows.append(
-                [
-                    params["variant"],
-                    f"{params['schedule']['churn_intensity']:g}",
-                    params["seed"],
-                    outcome.status,
-                ]
-                + ["-"] * 6
-            )
-            continue
-        result = outcome.result
-        results.append(result)
-        rows.append(
-            [
-                result["variant"],
-                f"{result['churn_intensity']:g}",
-                result["seed"],
-                outcome.status,
-                (
-                    f"{result['delivery']:.3f}"
-                    if result["delivery"] is not None
-                    else "n/a"
-                ),
-                (
-                    f"{result['mean_latency_s']:.3f}"
-                    if result["mean_latency_s"] is not None
-                    else "n/a"
-                ),
-                result["deaths"],
-                result["positions_reclaimed"],
-                result["events_executed"],
-                f"{result['events_per_sec']:,.0f}",
-            ]
-        )
-
-    headers = [
-        "variant", "churn", "seed", "status",
-        "delivery", "latency_s", "deaths", "reclaimed", "events", "events/s",
-    ]
-    print(report.ascii_table(headers, rows, title="Soak grid: per-cell results"))
-    if results:
-        # Degradation tail of the worst cell (lowest whole-run delivery):
-        # the curve the short grids cannot show.
-        worst = min(
-            results,
-            key=lambda r: r["delivery"] if r["delivery"] is not None else 1.0,
-        )
-        tail_rows = [
-            [
-                f"{row['t_s']:.0f}",
-                (
-                    f"{row['delivery']:.3f}"
-                    if row["delivery"] is not None
-                    else "n/a"
-                ),
-                (
-                    f"{row['latency_mean_s']:.3f}"
-                    if row["latency_mean_s"] is not None
-                    else "n/a"
-                ),
-                (
-                    f"{row['duty_cycle'] * 100:.2f}"
-                    if row["duty_cycle"] is not None
-                    else "n/a"
-                ),
-                row["re_tele"],
-                row["backtracks"],
-                row["alive"] if row["alive"] is not None else "n/a",
-                row["reclaimed"],
-            ]
-            for row in soak_grid_rows(worst)
-        ]
-        if tail_rows:
-            print()
-            print(
-                report.ascii_table(
-                    [
-                        "t_s", "delivery", "latency_s", "duty%",
-                        "re_tele", "backtracks", "alive", "reclaimed",
-                    ],
-                    tail_rows,
-                    title=(
-                        f"Degradation tail: {worst['variant']} "
-                        f"churn={worst['churn_intensity']:g} "
-                        f"seed={worst['seed']}"
-                    ),
-                )
-            )
-    print()
-    print(runner.last_report.summary_table())
-    _write_csv(args.csv, headers, rows)
-    if args.out:
+        results = [outcome.result for outcome in outcomes if outcome.result is not None]
         with open(args.out, "w") as handle:
             json.dump(results, handle, indent=2, sort_keys=True)
         print(f"(results written to {args.out})")
@@ -905,189 +375,6 @@ def _cmd_quickstart(args: argparse.Namespace) -> int:
         f"athx={record.athx}"
     )
     return 0 if record.delivered else 1
-
-
-def _stderr_progress(category: str, message: str, **data: object) -> None:
-    print(f"[{category}] {message}", file=sys.stderr)
-
-
-def _cmd_serve(args: argparse.Namespace) -> int:
-    """Start the farm HTTP service (results as a service)."""
-    from pathlib import Path
-
-    from repro.farm.service import run_service
-    from repro.runner import ParallelRunner, ResultCache
-
-    cache = None if args.no_cache else ResultCache(args.cache_dir)
-
-    def factory(job):
-        executor = None
-        if args.queue_dir:
-            from repro.farm import QueueExecutor
-
-            # One queue directory per grid fingerprint: identical
-            # resubmissions re-attach to the same queue (terminal markers
-            # included), unrelated grids never share lease state.
-            executor = QueueExecutor(
-                Path(args.queue_dir) / job.grid[:16],
-                workers=args.farm_workers,
-                self_drain=not args.no_self_drain,
-                lease_ttl=args.lease_ttl,
-            )
-        return ParallelRunner(
-            jobs=args.jobs,
-            cache=cache,
-            timeout=args.timeout,
-            retries=args.retries,
-            executor=executor,
-        )
-
-    return run_service(
-        factory,
-        host=args.host,
-        port=args.port,
-        announce=not args.quiet,
-        max_pending=args.max_pending,
-        read_timeout=args.read_timeout,
-    )
-
-
-def _cmd_farm_worker(args: argparse.Namespace) -> int:
-    """Attach this process to a queue directory and drain cells."""
-    import json
-    import signal as signal_module
-    import threading
-
-    from repro.farm import drain_queue
-    from repro.runner.retry import RetryPolicy
-
-    stop = threading.Event()
-    for signum in (signal_module.SIGINT, signal_module.SIGTERM):
-        try:
-            signal_module.signal(signum, lambda *_: stop.set())
-        except ValueError:  # pragma: no cover — non-main thread
-            pass
-    stats = drain_queue(
-        args.queue_dir,
-        cache_dir=args.cache_dir,
-        worker_id=args.worker_id,
-        lease_ttl=args.lease_ttl,
-        policy=RetryPolicy(retries=args.retries),
-        follow=args.follow,
-        max_cells=args.max_cells,
-        progress=None if args.quiet else _stderr_progress,
-        stop=stop,
-    )
-    print(json.dumps(stats.to_dict(), sort_keys=True))
-    # A worker that aborted on persistent storage failure exits nonzero so
-    # supervisors (and the havoc soak) can tell "drained" from "gave up".
-    return EXIT_FAILED if stats.aborted else EXIT_OK
-
-
-def _farm_payload(spec: str) -> Dict[str, object]:
-    """Resolve ``farm submit SPEC``: '-' = stdin, a path, or inline JSON."""
-    import json
-
-    if spec == "-":
-        text = sys.stdin.read()
-    elif os.path.exists(spec):
-        with open(spec) as handle:
-            text = handle.read()
-    else:
-        text = spec
-    try:
-        payload = json.loads(text)
-    except json.JSONDecodeError as exc:
-        raise SystemExit(f"spec is not valid JSON ({exc}): {text[:120]}")
-    if not isinstance(payload, dict):
-        raise SystemExit("spec must be a JSON object")
-    return payload
-
-
-def _cmd_farm_submit(args: argparse.Namespace) -> int:
-    import json
-
-    from repro.farm import client
-
-    summary = client.submit(args.url, _farm_payload(args.spec))
-    if not args.wait:
-        print(json.dumps(summary, indent=2, sort_keys=True))
-        return EXIT_OK
-    status = client.wait(
-        args.url, summary["id"], timeout=args.timeout, poll_s=args.poll
-    )
-    print(json.dumps(status, indent=2, sort_keys=True))
-    if status["state"] == "done":
-        return EXIT_OK
-    return EXIT_INTERRUPTED if status["state"] == "interrupted" else EXIT_FAILED
-
-
-def _cmd_farm_status(args: argparse.Namespace) -> int:
-    import json
-
-    from repro.farm import client
-
-    if args.job:
-        print(json.dumps(client.job(args.url, args.job), indent=2, sort_keys=True))
-    else:
-        print(json.dumps(client.health(args.url), indent=2, sort_keys=True))
-    return EXIT_OK
-
-
-def _cmd_farm_results(args: argparse.Namespace) -> int:
-    import json
-
-    from repro.farm import client
-
-    payload = client.results(args.url, args.job)
-    text = json.dumps(payload, indent=2, sort_keys=True)
-    if args.out:
-        with open(args.out, "w") as handle:
-            handle.write(text + "\n")
-        print(f"(results written to {args.out})")
-    else:
-        print(text)
-    return EXIT_OK if payload["state"] != "failed" else EXIT_FAILED
-
-
-def _cmd_farm_watch(args: argparse.Namespace) -> int:
-    import json
-
-    from repro.farm import client
-
-    def note_reconnect(attempt: int, cursor: int) -> None:
-        print(
-            f"[farm] stream dropped; reconnecting from event {cursor} "
-            f"(attempt {attempt})",
-            file=sys.stderr,
-        )
-
-    for event in client.watch(
-        args.url,
-        args.job,
-        timeout=args.timeout,
-        reconnects=args.reconnects,
-        on_reconnect=note_reconnect,
-    ):
-        print(json.dumps(event, sort_keys=True), flush=True)
-    return EXIT_OK
-
-
-def _cmd_farm(args: argparse.Namespace) -> int:
-    from repro.farm.client import FarmClientError
-
-    handler = {
-        "worker": _cmd_farm_worker,
-        "submit": _cmd_farm_submit,
-        "status": _cmd_farm_status,
-        "results": _cmd_farm_results,
-        "watch": _cmd_farm_watch,
-    }[args.farm_command]
-    try:
-        return handler(args)
-    except FarmClientError as exc:
-        print(f"farm: {exc}", file=sys.stderr)
-        return EXIT_FAILED
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -1189,9 +476,7 @@ def build_parser() -> argparse.ArgumentParser:
             "'chaos' grid sweeps fault intensity under a --scenario preset."
         ),
     )
-    p.add_argument(
-        "grid", choices=sorted([*_RUN_GRIDS, "chaos", "scale", "soak", "lora"])
-    )
+    p.add_argument("grid", choices=sorted(GRIDS))
     p.add_argument(
         "--jobs", type=_job_count, default=1,
         help="worker processes (1 = serial, 0 = auto-detect cpu count)",
@@ -1252,26 +537,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--csv", type=str, default=None)
     p.add_argument("--out", type=str, default=None, help="save full runs as JSON")
     p.add_argument("--quiet", action="store_true", help="no per-cell progress lines")
-    farm_group = p.add_argument_group(
-        "farm", "drain the grid through the shared lease queue instead of a "
-        "local process pool (see docs/operations.md)"
-    )
-    farm_group.add_argument(
-        "--queue-dir", type=str, default=None,
-        help="shared queue directory; enables the queue executor",
-    )
-    farm_group.add_argument(
-        "--farm-workers", type=_job_count, default=0,
-        help="worker subprocesses to spawn for the drain (0 = none)",
-    )
-    farm_group.add_argument(
-        "--lease-ttl", type=float, default=15.0,
-        help="seconds before a dead worker's lease is stolen",
-    )
-    farm_group.add_argument(
-        "--no-self-drain", action="store_true",
-        help="never run cells in this process; rely on attached workers",
-    )
     p.add_argument(
         "--scenario", choices=CHAOS_SCENARIOS, default="crash-churn",
         help="chaos grid only: fault scenario preset",
@@ -1347,108 +612,6 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p.add_argument("--destination", type=int, default=None)
     p.set_defaults(func=_cmd_quickstart)
-
-    p = sub.add_parser(
-        "serve",
-        help="start the experiment-farm HTTP service (results as a service)",
-        description=(
-            "Accept experiment specs over HTTP, execute them through the "
-            "runner (optionally fanning cells out to farm workers via "
-            "--queue-dir), stream cell-level progress, and answer identical "
-            "resubmissions straight from the result cache."
-        ),
-    )
-    p.add_argument("--host", type=str, default="127.0.0.1")
-    p.add_argument(
-        "--port", type=int, default=8642,
-        help="TCP port (0 = pick a free one and print it)",
-    )
-    p.add_argument(
-        "--jobs", type=_job_count, default=1,
-        help="worker processes per job (1 = serial, 0 = auto-detect)",
-    )
-    p.add_argument("--cache-dir", type=str, default=".repro-cache")
-    p.add_argument(
-        "--no-cache", action="store_true",
-        help="disable the result cache (resubmissions re-execute)",
-    )
-    p.add_argument("--timeout", type=float, default=None)
-    p.add_argument("--retries", type=int, default=2)
-    p.add_argument(
-        "--queue-dir", type=str, default=None,
-        help="run jobs through the shared lease queue under this directory",
-    )
-    p.add_argument("--farm-workers", type=_job_count, default=0)
-    p.add_argument("--lease-ttl", type=float, default=15.0)
-    p.add_argument("--no-self-drain", action="store_true")
-    p.add_argument(
-        "--max-pending", type=int, default=32,
-        help="admission bound on queued+running jobs (excess gets 429)",
-    )
-    p.add_argument(
-        "--read-timeout", type=float, default=10.0,
-        help="seconds a client may stall mid-request before 408 + close",
-    )
-    p.add_argument("--quiet", action="store_true")
-    p.set_defaults(func=_cmd_serve)
-
-    p = sub.add_parser(
-        "farm",
-        help="experiment-farm tools: attach a worker, talk to the service",
-    )
-    farm_sub = p.add_subparsers(dest="farm_command", required=True)
-
-    w = farm_sub.add_parser(
-        "worker",
-        help="attach this process to a queue directory and drain cells",
-    )
-    w.add_argument("--queue-dir", type=str, required=True)
-    w.add_argument(
-        "--cache-dir", type=str, default=None,
-        help="shared result cache (cross-grid dedup)",
-    )
-    w.add_argument("--lease-ttl", type=float, default=15.0)
-    w.add_argument("--retries", type=int, default=2)
-    w.add_argument("--worker-id", type=str, default=None)
-    w.add_argument(
-        "--follow", action="store_true",
-        help="keep polling for new work after the queue drains",
-    )
-    w.add_argument("--max-cells", type=int, default=None)
-    w.add_argument("--quiet", action="store_true")
-    w.set_defaults(func=_cmd_farm)
-
-    s = farm_sub.add_parser("submit", help="submit a spec payload to the service")
-    s.add_argument("spec", help="JSON payload: a path, inline JSON, or - for stdin")
-    s.add_argument("--url", type=str, default="http://127.0.0.1:8642")
-    s.add_argument("--wait", action="store_true", help="poll until terminal")
-    s.add_argument("--timeout", type=float, default=600.0)
-    s.add_argument("--poll", type=float, default=0.5)
-    s.set_defaults(func=_cmd_farm)
-
-    st = farm_sub.add_parser("status", help="service health or one job's status")
-    st.add_argument("job", nargs="?", default=None)
-    st.add_argument("--url", type=str, default="http://127.0.0.1:8642")
-    st.set_defaults(func=_cmd_farm)
-
-    r = farm_sub.add_parser("results", help="fetch a job's results")
-    r.add_argument("job")
-    r.add_argument("--url", type=str, default="http://127.0.0.1:8642")
-    r.add_argument("--out", type=str, default=None)
-    r.set_defaults(func=_cmd_farm)
-
-    wt = farm_sub.add_parser(
-        "watch",
-        help="stream a job's progress events (reconnects on drops)",
-    )
-    wt.add_argument("job")
-    wt.add_argument("--url", type=str, default="http://127.0.0.1:8642")
-    wt.add_argument("--timeout", type=float, default=600.0)
-    wt.add_argument(
-        "--reconnects", type=int, default=5,
-        help="max automatic Last-Event-ID reconnects after stream drops",
-    )
-    wt.set_defaults(func=_cmd_farm)
 
     return parser
 

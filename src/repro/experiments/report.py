@@ -42,21 +42,31 @@ def csv_table(headers: Sequence[str], rows: Iterable[Sequence[object]]) -> str:
     return out.getvalue()
 
 
+def fmt(value: Optional[float], spec: str) -> str:
+    """``value`` formatted by ``spec``, or "n/a" when it was not measured.
+
+    A measured zero is a value like any other and prints as one.
+    """
+    return "n/a" if value is None else format(value, spec)
+
+
+def comparison_metrics(result: ComparisonResult) -> List[str]:
+    """A comparison run's pdr, tx per control, duty cycle % and latency."""
+    duty = result.duty_cycle
+    return [
+        fmt(result.pdr, ".3f"),
+        fmt(result.tx_per_control, ".2f"),
+        fmt(None if duty is None else duty * 100, ".2f"),
+        fmt(result.mean_latency, ".2f"),
+    ]
+
+
 def comparison_rows(results: Dict[tuple, ComparisonResult]) -> List[List[object]]:
     """Rows for the protocol-comparison summary (Fig 7/9/10 + Table III)."""
-    rows: List[List[object]] = []
-    for (variant, channel), result in sorted(results.items()):
-        rows.append(
-            [
-                variant,
-                channel,
-                f"{result.pdr:.3f}" if result.pdr is not None else "n/a",
-                f"{result.tx_per_control:.2f}" if result.tx_per_control else "n/a",
-                f"{result.duty_cycle * 100:.2f}" if result.duty_cycle else "n/a",
-                f"{result.mean_latency:.2f}" if result.mean_latency else "n/a",
-            ]
-        )
-    return rows
+    return [
+        [variant, channel, *comparison_metrics(result)]
+        for (variant, channel), result in sorted(results.items())
+    ]
 
 
 COMPARISON_HEADERS = ["protocol", "channel", "pdr", "tx_per_control", "duty_pct", "latency_s"]

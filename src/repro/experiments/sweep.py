@@ -28,7 +28,6 @@ from repro.mac.lpl import MacParams
 from repro.metrics.stats import mean
 from repro.protocols import TeleProtocolAdapter
 from repro.runner import (
-    CellExecutor,
     ParallelRunner,
     ResultCache,
     RunnerOutcome,
@@ -101,7 +100,6 @@ def _make_runner(
     runner: Optional[ParallelRunner],
     journal_dir: Optional[str] = None,
     resume: bool = False,
-    executor: Optional["CellExecutor"] = None,
 ) -> ParallelRunner:
     if runner is not None:
         return runner
@@ -111,7 +109,6 @@ def _make_runner(
         cache=cache,
         journal_dir=journal_dir,
         resume=resume,
-        executor=executor,
     )
 
 
@@ -124,7 +121,6 @@ def run_comparison_multi(
     runner: Optional[ParallelRunner] = None,
     journal_dir: Optional[str] = None,
     resume: bool = False,
-    executor: Optional["CellExecutor"] = None,
     **kwargs: object,
 ) -> MultiRunResult:
     """Repeat one comparison cell over ``seeds`` and aggregate.
@@ -139,7 +135,7 @@ def run_comparison_multi(
     """
     from repro.metrics.io import comparison_from_dict
 
-    engine = _make_runner(jobs, cache_dir, runner, journal_dir, resume, executor)
+    engine = _make_runner(jobs, cache_dir, runner, journal_dir, resume)
     specs = [
         comparison_spec(variant, zigbee_channel=zigbee_channel, seed=seed, **kwargs)
         for seed in seeds
@@ -291,9 +287,8 @@ def _run_points(
     runner: Optional[ParallelRunner],
     journal_dir: Optional[str] = None,
     resume: bool = False,
-    executor: Optional["CellExecutor"] = None,
 ) -> List[SweepPoint]:
-    engine = _make_runner(jobs, cache_dir, runner, journal_dir, resume, executor)
+    engine = _make_runner(jobs, cache_dir, runner, journal_dir, resume)
     outcomes: List[RunnerOutcome] = engine.run(specs)
     return [
         SweepPoint.from_dict(o.result) for o in outcomes if o.result is not None
@@ -311,7 +306,6 @@ def sweep_wake_interval(
     runner: Optional[ParallelRunner] = None,
     journal_dir: Optional[str] = None,
     resume: bool = False,
-    executor: Optional["CellExecutor"] = None,
 ) -> List[SweepPoint]:
     """Latency/duty trade-off across LPL wake intervals.
 
@@ -328,7 +322,7 @@ def sweep_wake_interval(
         )
         for wake_ms in wake_intervals_ms
     ]
-    return _run_points(specs, jobs, cache_dir, runner, journal_dir, resume, executor)
+    return _run_points(specs, jobs, cache_dir, runner, journal_dir, resume)
 
 
 def sweep_network_size(
@@ -341,7 +335,6 @@ def sweep_network_size(
     runner: Optional[ParallelRunner] = None,
     journal_dir: Optional[str] = None,
     resume: bool = False,
-    executor: Optional["CellExecutor"] = None,
 ) -> List[SweepPoint]:
     """Scalability: code length and delivery as the network grows.
 
@@ -354,4 +347,4 @@ def sweep_network_size(
         )
         for size in sizes
     ]
-    return _run_points(specs, jobs, cache_dir, runner, journal_dir, resume, executor)
+    return _run_points(specs, jobs, cache_dir, runner, journal_dir, resume)

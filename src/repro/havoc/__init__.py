@@ -1,123 +1,53 @@
-"""``repro.havoc`` — deterministic fault injection for the farm itself.
+"""``repro.havoc`` — deterministic fault injection for the runner's storage.
 
 :mod:`repro.faults` holds the *simulated protocol* to the paper's
 standard — reliable remote control over unreliable links — by injecting
-seeded radio faults. This package holds the *infrastructure that serves
-those results* to the same standard: the lease queue, journal, cache,
-workers, and HTTP service run under injected ``ENOSPC`` windows, torn
-writes, SIGKILLed workers, skewed lease clocks, and dropped SSE
-connections, and must still complete grids with bit-identical digests.
-
-Three seams, one plan:
-
-- :mod:`repro.havoc.fs` — filesystem primitives (write/fsync/replace/
-  read) that queue, journal, and cache route their durable I/O through;
-- :mod:`repro.havoc.proc` — worker checkpoints (deterministic SIGKILL /
-  stall points) and the skewable lease clock;
-- :mod:`repro.havoc.http` — SSE connection faults on the service side
-  plus raw-socket hostile-client helpers for tests.
+seeded radio faults. This package holds the *storage that keeps those
+results* to the same standard: the result cache and the run journal write
+through :mod:`repro.havoc.fs`, so tests can run them under injected
+``ENOSPC`` windows, ``EIO``, torn writes and slow fsyncs and check that
+they fail closed — a lost cache entry or a truncated journal, never a
+wrong result.
 
 Activation is process-wide and explicit::
 
-    with havoc.active(plan):           # in-process tests
+    with havoc.active(plan) as injector:   # yields the fs injector
         ...
 
-    env["REPRO_HAVOC"] = plan.to_json()  # subprocesses (workers, server)
-
-The env route activates at import of :mod:`repro.havoc` (which the farm
-modules import), so ``python -m repro farm worker`` and ``repro serve``
-children inherit the schedule with no extra flags — the same trick the
-soak test and ``scripts/farm_smoke.py --havoc`` use.
-
-With no plan active every seam is a pass-through; zero-fault runs are
-bit-identical to runs without the package (regression-tested).
+With no plan active every primitive is a pass-through; zero-fault runs
+are bit-identical to runs without the package (regression-tested).
 """
 
 from __future__ import annotations
 
-import os
 from contextlib import contextmanager
-from typing import Iterator, Optional
+from typing import Iterator
 
 from repro.havoc import fs as _fs
-from repro.havoc import http as _http
-from repro.havoc import proc as _proc
 from repro.havoc.fs import HavocFS
-from repro.havoc.http import HavocHttp
-from repro.havoc.plan import (
-    ENV_VAR,
-    FS_KINDS,
-    HAVOC_KINDS,
-    HTTP_KINDS,
-    PROC_KINDS,
-    HavocEvent,
-    HavocPlan,
-    generate_plan,
-)
-from repro.havoc.proc import HavocProc
-
-_PLAN: Optional[HavocPlan] = None
-
-
-def activate(plan: HavocPlan) -> None:
-    """Install ``plan`` on all three seams (replacing any active plan)."""
-    global _PLAN
-    _PLAN = plan
-    _fs.install(HavocFS(plan))
-    _proc.install(HavocProc(plan))
-    _http.install(HavocHttp(plan))
+from repro.havoc.plan import HavocEvent, HavocPlan
 
 
 def deactivate() -> None:
-    """Return every seam to pass-through."""
-    global _PLAN
-    _PLAN = None
+    """Return the storage seam to pass-through."""
     _fs.install(None)
-    _proc.install(None)
-    _http.install(None)
-
-
-def current_plan() -> Optional[HavocPlan]:
-    return _PLAN
 
 
 @contextmanager
 def active(plan: HavocPlan) -> Iterator[HavocFS]:
     """Activate ``plan`` for a block; yields the fs injector for its log."""
-    activate(plan)
+    injector = HavocFS(plan)
+    _fs.install(injector)
     try:
-        injector = _fs.current()
-        assert injector is not None
         yield injector
     finally:
         deactivate()
 
 
-def _activate_from_env() -> None:
-    payload = os.environ.get(ENV_VAR)
-    if not payload:
-        return
-    # A malformed plan must not silently disable the harness: fail loudly
-    # at import so the operator sees the typo, not a clean-run soak.
-    activate(HavocPlan.from_json(payload))
-
-
-_activate_from_env()
-
 __all__ = [
-    "ENV_VAR",
-    "FS_KINDS",
-    "HAVOC_KINDS",
-    "HTTP_KINDS",
-    "PROC_KINDS",
     "HavocEvent",
     "HavocFS",
-    "HavocHttp",
     "HavocPlan",
-    "HavocProc",
-    "activate",
     "active",
-    "current_plan",
     "deactivate",
-    "generate_plan",
 ]

@@ -1,10 +1,10 @@
-"""The filesystem seam: proxy primitives the farm's storage routes through.
+"""The filesystem seam: proxy primitives the runner's storage routes through.
 
-:mod:`repro.farm.queue`, :mod:`repro.runner.journal`, and
-:mod:`repro.runner.cache` perform their durable writes through the four
-module-level primitives below (:func:`write`, :func:`fsync`,
-:func:`replace`, :func:`read_bytes`) instead of calling the OS directly.
-With no plan active each is a zero-cost pass-through; under an active
+:mod:`repro.runner.journal` and :mod:`repro.runner.cache` perform their
+durable writes through the four module-level primitives below
+(:func:`write`, :func:`fsync`, :func:`replace`, :func:`read_bytes`)
+instead of calling the OS directly. With no plan active each is a
+zero-cost pass-through; under an active
 :class:`~repro.havoc.plan.HavocPlan` they consult a :class:`HavocFS`
 which injects ``ENOSPC``, ``EIO``, torn (prefix-then-fail) writes, and
 slow fsyncs from the plan's deterministic op-count windows.
@@ -27,7 +27,7 @@ import os
 import time
 from typing import IO, List, Optional, Tuple, Union
 
-from repro.havoc.plan import FS_KINDS, HavocEvent, HavocPlan
+from repro.havoc.plan import HavocEvent, HavocPlan
 
 PathLike = Union[str, "os.PathLike[str]"]
 
@@ -50,7 +50,7 @@ class HavocFS:
 
     def __init__(self, plan: HavocPlan) -> None:
         self.plan = plan
-        self._events: Tuple[HavocEvent, ...] = plan.for_kinds(FS_KINDS)
+        self._events: Tuple[HavocEvent, ...] = plan.events
         self._matched: List[int] = [0] * len(self._events)
         #: Injection record: (op, per-event match index, path, kind).
         self.log: List[Tuple[str, int, str, str]] = []

@@ -1,100 +1,63 @@
-"""Declarative seeded havoc plans — fault schedules for the farm's own
-infrastructure.
+"""Declarative havoc plans — fault schedules for the runner's storage.
 
 A :class:`HavocPlan` is to the *machinery* what a
-:class:`repro.faults.FaultPlan` is to the radios: an ordered, validated,
-canonically-serialisable set of fault events, injected deterministically.
-Where a fault plan keys events on simulated time, a havoc plan keys them
-on **operation counts** — "the 3rd fsync under the journal directory",
-"the 2nd lease claim", "the 5th SSE frame" — because wall-clock time is
-not reproducible but the sequence of infrastructure operations a
-deterministic grid performs is.
+:class:`repro.faults.FaultPlan` is to the radios: an ordered, validated
+set of fault events, injected deterministically. Where a fault plan keys
+events on simulated time, a havoc plan keys them on **operation counts** —
+"the 3rd fsync under the journal directory", "the 2nd cache write" —
+because wall-clock time is not reproducible but the sequence of storage
+operations a deterministic grid performs is.
 
-Event kinds, by seam:
+Event kinds (all handled by :mod:`repro.havoc.fs`):
 
-filesystem (:mod:`repro.havoc.fs`)
-    ``enospc``    — the write/replace raises ``OSError(ENOSPC)``;
-    ``eio``       — the read/write/fsync/replace raises ``OSError(EIO)``;
-    ``torn``      — a *prefix* of the data is written, then
-                    ``OSError(ENOSPC)`` — the on-disk file is genuinely
-                    torn, exactly like a disk filling mid-write;
-    ``slow_fsync``— the fsync sleeps ``delay_s`` before completing.
-
-process (:mod:`repro.havoc.proc`)
-    ``kill``      — the process SIGKILLs itself at a named checkpoint
-                    (e.g. the worker's ``claimed`` / ``cell_done``
-                    boundaries);
-    ``stall``     — the process sleeps ``delay_s`` at the checkpoint,
-                    modelling a freeze long enough to lose a lease;
-    ``clock_skew``— the farm clock (used for lease expiry) is offset by
-                    ``skew_s`` seconds from the moment the plan activates.
-
-http (:mod:`repro.havoc.http`)
-    ``sse_drop``  — the service aborts the SSE connection after the
-                    matching frame (mid-stream, no terminal event);
-    ``sse_stall`` — the service sleeps ``delay_s`` before the frame.
+``enospc``     — the write/replace raises ``OSError(ENOSPC)``;
+``eio``        — the read/write/fsync/replace raises ``OSError(EIO)``;
+``torn``       — a *prefix* of the data is written, then
+                 ``OSError(ENOSPC)`` — the on-disk file is genuinely torn,
+                 exactly like a disk filling mid-write;
+``slow_fsync`` — the fsync sleeps ``delay_s`` before completing.
 
 Events match operations by ``op`` (the operation class: ``write``,
-``fsync``, ``replace``, ``read`` for fs events; the checkpoint name for
-proc events; the stream name for http events — empty string matches any)
-and ``scope`` (a substring of the path/label — empty matches any). Each
-event keeps its own counter of matching operations and fires for the
-window ``start <= counter < start + count``.
-
-Because the schedule is a pure function of the plan (and
-:func:`generate_plan` a pure function of its seed), the same seed always
-reproduces the same injection sequence — the property the havoc soak
-test pins.
+``fsync``, ``replace``, ``read`` — empty string matches any) and
+``scope`` (a substring of the path — empty matches any). Each event keeps
+its own counter of matching operations and fires for the window
+``start <= counter < start + count``. The schedule is a pure function of
+the plan, so the same plan always reproduces the same injection sequence.
 """
 
 from __future__ import annotations
 
-import dataclasses
-import json
-import random
 from dataclasses import dataclass
-from typing import Any, Dict, Iterable, Optional, Tuple
+from typing import Tuple
 
 #: Fault kinds handled by the filesystem seam.
 FS_KINDS = ("enospc", "eio", "torn", "slow_fsync")
-#: Fault kinds handled by the process seam.
-PROC_KINDS = ("kill", "stall", "clock_skew")
-#: Fault kinds handled by the HTTP seam.
-HTTP_KINDS = ("sse_drop", "sse_stall")
-
-HAVOC_KINDS = FS_KINDS + PROC_KINDS + HTTP_KINDS
-
-#: Environment variable carrying a JSON plan into subprocesses (workers,
-#: servers): set it and the process activates the plan at import time.
-ENV_VAR = "REPRO_HAVOC"
 
 
 @dataclass(frozen=True)
 class HavocEvent:
-    """One windowed infrastructure fault. See the module docstring."""
+    """One windowed storage fault. See the module docstring."""
 
     kind: str
-    #: Operation-class filter: fs op name / checkpoint name / stream name.
+    #: Operation-class filter: write / fsync / replace / read.
     op: str = ""
-    #: Substring filter on the target path or label ("" matches any).
+    #: Substring filter on the target path ("" matches any).
     scope: str = ""
     #: 0-based index of the first matching operation affected.
     start: int = 0
     #: How many consecutive matching operations are affected.
     count: int = 1
-    #: Sleep duration for slow_fsync / stall / sse_stall.
+    #: Sleep duration for slow_fsync.
     delay_s: float = 0.0
-    #: Clock offset for clock_skew (may be negative).
-    skew_s: float = 0.0
 
     def __post_init__(self) -> None:
-        if self.kind not in HAVOC_KINDS:
+        if self.kind not in FS_KINDS:
             raise ValueError(f"unknown havoc kind {self.kind!r}")
         if self.start < 0:
             raise ValueError("start must be >= 0")
         if self.count < 1:
             raise ValueError("count must be >= 1")
-        if self.kind in ("slow_fsync", "stall", "sse_stall") and self.delay_s <= 0:
+        if self.kind == "slow_fsync" and self.delay_s <= 0:
             raise ValueError(f"{self.kind} needs a positive delay_s")
         if self.delay_s < 0:
             raise ValueError("delay_s must be >= 0")
@@ -105,111 +68,13 @@ class HavocEvent:
             return False
         return self.scope in target
 
-    def to_dict(self) -> Dict[str, Any]:
-        """Canonical dict form (every field, fixed key set)."""
-        return {
-            "kind": self.kind,
-            "op": self.op,
-            "scope": self.scope,
-            "start": self.start,
-            "count": self.count,
-            "delay_s": self.delay_s,
-            "skew_s": self.skew_s,
-        }
-
-    @classmethod
-    def from_dict(cls, data: Dict[str, Any]) -> "HavocEvent":
-        """Inverse of :meth:`to_dict` (missing keys take their defaults)."""
-        fields = {f.name for f in dataclasses.fields(cls)}
-        unknown = set(data) - fields
-        if unknown:
-            raise ValueError(f"unknown HavocEvent keys: {sorted(unknown)}")
-        return cls(**data)
-
 
 @dataclass(frozen=True)
 class HavocPlan:
-    """An ordered, validated set of havoc events plus the seed that (for
-    generated plans) produced them."""
+    """An ordered, validated set of havoc events, optionally named."""
 
     events: Tuple[HavocEvent, ...] = ()
-    seed: int = 0
     name: str = ""
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "events", tuple(self.events))
-
-    def for_kinds(self, kinds: Iterable[str]) -> Tuple[HavocEvent, ...]:
-        """The plan's events belonging to one seam."""
-        wanted = set(kinds)
-        return tuple(e for e in self.events if e.kind in wanted)
-
-    def to_dict(self) -> Dict[str, Any]:
-        return {
-            "seed": self.seed,
-            "name": self.name,
-            "events": [event.to_dict() for event in self.events],
-        }
-
-    def to_json(self) -> str:
-        """Compact canonical JSON — the ``REPRO_HAVOC`` env payload."""
-        return json.dumps(self.to_dict(), sort_keys=True, separators=(",", ":"))
-
-    @classmethod
-    def from_dict(cls, data: Dict[str, Any]) -> "HavocPlan":
-        if not isinstance(data, dict):
-            raise ValueError("havoc plan must be a JSON object")
-        events = data.get("events", [])
-        if not isinstance(events, list):
-            raise ValueError('"events" must be a list')
-        return cls(
-            events=tuple(HavocEvent.from_dict(e) for e in events),
-            seed=int(data.get("seed", 0)),
-            name=str(data.get("name", "")),
-        )
-
-    @classmethod
-    def from_json(cls, text: str) -> "HavocPlan":
-        try:
-            data = json.loads(text)
-        except ValueError as exc:
-            raise ValueError(f"havoc plan is not valid JSON: {exc}") from None
-        return cls.from_dict(data)
-
-
-def generate_plan(
-    seed: int,
-    enospc_windows: int = 1,
-    kills: int = 1,
-    sse_drops: int = 1,
-    span: int = 6,
-    name: str = "",
-) -> HavocPlan:
-    """A small seeded havoc schedule for soak/smoke runs.
-
-    A pure function of its arguments: the same seed always yields the
-    same plan (regression-tested), so a failing soak run can be replayed
-    exactly by quoting its seed. ``span`` bounds the op index each window
-    may start at — faults land early in a run, where a short smoke grid
-    can still reach them.
-    """
-    rng = random.Random(f"havoc:{seed}")
-    events = []
-    for _ in range(enospc_windows):
-        events.append(
-            HavocEvent(
-                kind="enospc",
-                op="write",
-                start=rng.randrange(span),
-                count=1 + rng.randrange(2),
-            )
-        )
-    for _ in range(kills):
-        events.append(
-            HavocEvent(kind="kill", op="claimed", start=1 + rng.randrange(span))
-        )
-    for _ in range(sse_drops):
-        events.append(
-            HavocEvent(kind="sse_drop", op="events", start=2 + rng.randrange(span))
-        )
-    return HavocPlan(events=tuple(events), seed=seed, name=name or f"havoc-{seed}")

@@ -15,7 +15,7 @@ from __future__ import annotations
 
 import math
 import random
-from typing import Dict, List, Sequence, Tuple
+from typing import Dict, Sequence, Tuple
 
 Position = Tuple[float, float]
 
@@ -74,16 +74,6 @@ class LogDistancePathLoss:
         """Deterministic (pre-shadowing) path loss in dB at ``distance`` metres."""
         d = max(distance, self.d0)
         return self.pl_d0 + 10.0 * self.path_loss_exponent * math.log10(d / self.d0)
-
-    def path_loss_db_batch(self, distances: Sequence[float]) -> List[float]:
-        """:meth:`path_loss_db` over many distances, one element per input.
-
-        Kept scalar-exact: each element equals the scalar call bit for bit
-        (the batch is a convenience for per-receiver loops like the WiFi
-        interferer's coupling table, where values enter the simulation and
-        must not depend on whether numpy is installed).
-        """
-        return [self.path_loss_db(d) for d in distances]
 
     def max_range_m(self, budget_db: float) -> float:
         """Largest distance whose deterministic path loss fits ``budget_db``.

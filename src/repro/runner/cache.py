@@ -13,8 +13,8 @@ result. :meth:`ResultCache.load` additionally verifies the stored
 version/kernel/fingerprint fields, so a tampered-but-parseable file
 degrades the same way.
 
-The cache is also **concurrent-writer safe** — a requirement once farm
-workers on several processes (or hosts) share one cache directory:
+The cache is also **concurrent-writer safe** — a requirement once several
+runs (separate processes) share one cache directory:
 
 - writes are unique-temp-file + atomic ``os.replace``, so readers never
   see a torn entry and two writers finishing the same cell simply race

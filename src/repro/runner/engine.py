@@ -22,15 +22,13 @@ the scheduler side:
 - deterministic result ordering: outcomes come back in spec order no matter
   what order cells finished in.
 
-Execution strategy is the executor's business: ``jobs=1`` selects the
-serial :class:`~repro.runner.executors.InProcessExecutor` (bit-identical
-to the historical serial drivers), ``jobs=N`` the process-pool
+Execution strategy is the executor's business, and ``jobs`` alone picks
+it: ``jobs=1`` selects the serial
+:class:`~repro.runner.executors.InProcessExecutor` (bit-identical to the
+historical serial drivers), ``jobs=N`` the process-pool
 :class:`~repro.runner.executors.LocalPoolExecutor` (per-cell timeout,
 heartbeat watchdog, crash containment with honest attribution), and
-``jobs=0`` auto-detects ``os.cpu_count()``. Passing ``executor=`` swaps in
-any other strategy — e.g. :class:`repro.farm.QueueExecutor`, which drains
-the grid through a shared work-stealing lease queue that external worker
-processes (other hosts included) can join.
+``jobs=0`` auto-detects ``os.cpu_count()``.
 """
 
 from __future__ import annotations
@@ -113,11 +111,6 @@ class RunnerOutcome:
         return self.result is not None
 
 
-#: Backwards-compatible alias: the scheduling-state dataclass moved to
-#: :mod:`repro.runner.executors` with the executor split.
-_Cell = Cell
-
-
 class ParallelRunner:
     """Run a grid of task specs with caching, journaling, and telemetry."""
 
@@ -127,14 +120,12 @@ class ParallelRunner:
         cache: Optional[ResultCache] = None,
         timeout: Optional[float] = None,
         retries: int = 2,
-        mp_context: str = "spawn",
         progress: Optional[ProgressSink] = None,
         policy: Optional[RetryPolicy] = None,
         journal_dir: Optional[Union[str, Path]] = None,
         resume: bool = False,
         watchdog: Optional[float] = None,
         handle_signals: bool = False,
-        executor: Optional[CellExecutor] = None,
     ) -> None:
         if retries < 0:
             raise ValueError("retries must be >= 0")
@@ -147,18 +138,14 @@ class ParallelRunner:
         self.timeout = timeout
         self.policy = policy if policy is not None else RetryPolicy(retries=retries)
         self.max_attempts = self.policy.max_attempts
-        self.mp_context = mp_context
         self.progress = progress
         self.journal_dir = Path(journal_dir) if journal_dir is not None else None
         self.resume = resume
         self.watchdog = watchdog
         self.handle_signals = handle_signals
-        if executor is not None:
-            self.executor: CellExecutor = executor
-        elif self.jobs == 1:
-            self.executor = InProcessExecutor()
-        else:
-            self.executor = LocalPoolExecutor(self.jobs, mp_context=mp_context)
+        self.executor: CellExecutor = (
+            InProcessExecutor() if self.jobs == 1 else LocalPoolExecutor(self.jobs)
+        )
         self.last_report: Optional[RunnerReport] = None
         self._interrupts = 0
         self._backoff_total = 0.0

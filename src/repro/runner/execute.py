@@ -2,10 +2,10 @@
 
 :func:`run_task` is the spawn-safe, top-level worker function handed to the
 process pool — it takes a plain dict (a serialised :class:`TaskSpec` plus
-the attempt number), dispatches on the spec's ``kind``, and returns a plain
-dict. The serial (``jobs=1``) path calls the very same function in-process,
-so parallel and serial execution are the same code and produce identical
-results.
+the attempt number), runs it through the record of the spec's ``kind`` in
+:mod:`repro.experiments.registry`, and returns a plain dict. The serial
+(``jobs=1``) path calls the very same function in-process, so parallel and
+serial execution are the same code and produce identical results.
 
 Fault injection: a spec's ``fault`` mapping can request a crash
 (``os._exit`` in a worker — indistinguishable from a segfault), a raised
@@ -29,7 +29,7 @@ import json
 import os
 import threading
 import time
-from typing import Any, Callable, Dict, Mapping, Optional
+from typing import Any, Dict, Mapping, Optional
 
 from repro.runner.taskspec import TaskSpec
 
@@ -100,151 +100,25 @@ def _apply_fault(
         time.sleep(float(fault.get("hang_s", 3600.0)))
 
 
-# ------------------------------------------------------------------ executors
-
-def _execute_comparison(params: Mapping[str, Any]) -> Dict[str, Any]:
-    from repro.experiments.comparison import run_comparison
-    from repro.metrics.io import comparison_to_dict
-
-    result = run_comparison(
-        params["variant"],
-        zigbee_channel=params["zigbee_channel"],
-        seed=params["seed"],
-        **params["schedule"],
-    )
-    return comparison_to_dict(result)
-
-
-def _execute_chaos(params: Mapping[str, Any]) -> Dict[str, Any]:
-    from repro.experiments.chaos import run_chaos
-
-    return run_chaos(
-        params["variant"],
-        scenario=params["scenario"],
-        intensity=params["intensity"],
-        seed=params["seed"],
-        zigbee_channel=params["zigbee_channel"],
-        **params["schedule"],
-    )
-
-
-def _execute_lora(params: Mapping[str, Any]) -> Dict[str, Any]:
-    from repro.experiments.lora import run_lora
-
-    return run_lora(
-        params["variant"],
-        seed=params["seed"],
-        radio_profile=params["radio_profile"],
-        **params["schedule"],
-    )
-
-
-def _execute_wake_interval(params: Mapping[str, Any]) -> Dict[str, Any]:
-    from repro.experiments.sweep import wake_interval_point
-
-    point = wake_interval_point(
-        params["wake_ms"],
-        protocol=params["protocol"],
-        seed=params["seed"],
-        n_controls=params["n_controls"],
-        converge_seconds=params["converge_seconds"],
-    )
-    return point.to_dict()
-
-
-def _execute_network_size(params: Mapping[str, Any]) -> Dict[str, Any]:
-    from repro.experiments.sweep import network_size_point
-
-    point = network_size_point(
-        params["size"],
-        field_density=params["field_density"],
-        seed=params["seed"],
-        n_controls=params["n_controls"],
-    )
-    return point.to_dict()
-
-
-def _execute_scale(params: Mapping[str, Any]) -> Dict[str, Any]:
-    from repro.experiments.scale import scale_point
-
-    spatial = params["spatial_index"]
-    return scale_point(
-        params["topo"],
-        size=params["size"],
-        seed=params["seed"],
-        spatial_index=dict(spatial) if spatial is not None else None,
-        **params["schedule"],
-    )
-
-
-def _execute_soak(params: Mapping[str, Any]) -> Dict[str, Any]:
-    from repro.experiments.soak import run_soak
-
-    return run_soak(
-        params["variant"],
-        seed=params["seed"],
-        zigbee_channel=params["zigbee_channel"],
-        **params["schedule"],
-    )
-
-
-def _execute_selftest(params: Mapping[str, Any]) -> Dict[str, Any]:
-    if params["sleep_s"]:
-        time.sleep(params["sleep_s"])
-    index = params["index"]
-    # Deterministic arithmetic so result equality is checkable across paths.
-    value = (index * 2654435761 + params["payload"]) % 2**31
-    return {"index": index, "value": value}
-
-
-_EXECUTORS: Dict[str, Callable[[Mapping[str, Any]], Dict[str, Any]]] = {
-    "comparison": _execute_comparison,
-    "chaos": _execute_chaos,
-    "lora": _execute_lora,
-    "wake-interval": _execute_wake_interval,
-    "network-size": _execute_network_size,
-    "scale": _execute_scale,
-    "soak": _execute_soak,
-    "selftest": _execute_selftest,
-}
-
-
 def sim_seconds_estimate(spec: TaskSpec) -> float:
     """Scheduled simulated seconds for one cell (telemetry's sim/wall ratio)."""
-    p = spec.params
-    if spec.kind in ("comparison", "chaos", "lora"):
-        s = p["schedule"]
-        return (
-            s["converge_seconds"]
-            + s["n_controls"] * s["control_interval_s"]
-            + s["drain_seconds"]
-        )
-    if spec.kind == "wake-interval":
-        return p["converge_seconds"] + p["n_controls"] * 45.0 + 60.0
-    if spec.kind == "network-size":
-        return 300.0 + p["n_controls"] * 20.0 + 60.0
-    if spec.kind == "scale":
-        s = p["schedule"]
-        return (
-            s["converge_seconds"]
-            + s["n_controls"] * s["control_interval_s"]
-            + s["drain_seconds"]
-        )
-    if spec.kind == "soak":
-        s = p["schedule"]
-        return s["converge_seconds"] + s["duration_s"]
-    return 0.0
+    from repro.experiments.registry import EXPERIMENTS
+
+    return EXPERIMENTS[spec.kind].sim_seconds(spec.params)
 
 
 def execute_spec(spec: TaskSpec) -> Dict[str, Any]:
     """Run one cell and return its JSON-serialisable result payload."""
+    # Imported per call, not at module level: the drivers import repro.runner.
+    from repro.experiments.registry import EXPERIMENTS
+
     try:
-        executor = _EXECUTORS[spec.kind]
+        experiment = EXPERIMENTS[spec.kind]
     except KeyError:
         raise ValueError(
-            f"unknown task kind {spec.kind!r}; choose from {sorted(_EXECUTORS)}"
+            f"unknown task kind {spec.kind!r}; choose from {sorted(EXPERIMENTS)}"
         ) from None
-    return executor(spec.params)
+    return experiment.run(spec.params)
 
 
 def run_task(payload: Mapping[str, Any], in_process: bool = False) -> Dict[str, Any]:

@@ -11,13 +11,9 @@ disposition through the scheduler's callbacks
   (the historical ``jobs=1`` path, bit-identical to the original drivers);
 - :class:`LocalPoolExecutor` — cells fan out over a spawn-context
   ``ProcessPoolExecutor`` with crash containment, honest attribution, and
-  the heartbeat watchdog (the historical ``jobs=N`` path);
-- :class:`repro.farm.QueueExecutor` — cells are leased from a shared
-  file-backed work-stealing queue so any number of worker processes (on
-  any host that can see the directory) drain one grid, with the
-  content-addressed cache as the dedup/rendezvous layer.
+  the heartbeat watchdog (the historical ``jobs=N`` path).
 
-All three produce bit-identical results for the same specs (enforced by
+Both produce bit-identical results for the same specs (enforced by
 ``tests/test_executor_conformance.py``): simulations are deterministic per
 spec, so *where* a cell runs can never change *what* it returns.
 """
@@ -59,8 +55,7 @@ class Cell:
 
     Shared vocabulary between the scheduler and every executor: ``attempt``
     counts failed attempts charged against the retry budget, ``requeues``
-    counts innocent re-dispatches (pool rebuilds, lease takeovers) that do
-    *not* burn it, and ``not_before`` is the backoff gate.
+    counts innocent re-dispatches (pool rebuilds) that do *not* burn it, and ``not_before`` is the backoff gate.
     """
 
     index: int
@@ -194,12 +189,13 @@ class LocalPoolExecutor(CellExecutor):
     """
 
     name = "local-pool"
+    #: Workers start fresh interpreters: no state leaks in from the parent.
+    MP_CONTEXT = "spawn"
 
-    def __init__(self, jobs: int, mp_context: str = "spawn") -> None:
+    def __init__(self, jobs: int) -> None:
         if jobs < 1:
             raise ValueError("jobs must be >= 1")
         self.jobs = jobs
-        self.mp_context = mp_context
 
     @property
     def slots(self) -> int:
@@ -208,7 +204,7 @@ class LocalPoolExecutor(CellExecutor):
     def _new_pool(self) -> ProcessPoolExecutor:
         return ProcessPoolExecutor(
             max_workers=self.jobs,
-            mp_context=multiprocessing.get_context(self.mp_context),
+            mp_context=multiprocessing.get_context(self.MP_CONTEXT),
         )
 
     @staticmethod

@@ -45,7 +45,8 @@ def fingerprint_of(value: Any) -> str:
 class TaskSpec:
     """One schedulable experiment cell.
 
-    ``kind`` selects the executor (see :mod:`repro.runner.execute`);
+    ``kind`` selects the experiment record that runs it (see
+    :mod:`repro.experiments.registry`);
     ``params`` must be JSON-serialisable and fully determine the cell's
     outcome. ``label`` and ``fault`` are *not* part of the fingerprint:
     the label is cosmetic and the fault hook exists only so tests can
@@ -104,6 +105,18 @@ class TaskSpec:
 
 # --------------------------------------------------------------- spec builders
 
+def _schedule(
+    defaults: Mapping[str, Any], overrides: Mapping[str, Any], driver: str
+) -> Dict[str, Any]:
+    """``defaults`` updated by ``overrides``, which must all be known keys."""
+    schedule = dict(defaults)
+    for key, value in overrides.items():
+        if key not in schedule:
+            raise TypeError(f"unknown {driver} argument: {key!r}")
+        schedule[key] = value
+    return schedule
+
+
 def comparison_spec(
     variant: str,
     zigbee_channel: int = 26,
@@ -118,11 +131,7 @@ def comparison_spec(
     """
     from repro.experiments.comparison import COMPARISON_DEFAULTS, config_for
 
-    schedule = dict(COMPARISON_DEFAULTS)
-    for key, value in kwargs.items():
-        if key not in schedule:
-            raise TypeError(f"unknown run_comparison argument: {key!r}")
-        schedule[key] = value
+    schedule = _schedule(COMPARISON_DEFAULTS, kwargs, "run_comparison")
     config = config_for(variant, zigbee_channel, seed)
     return TaskSpec(
         kind="comparison",
@@ -154,11 +163,7 @@ def chaos_spec(
     """
     from repro.experiments.chaos import CHAOS_DEFAULTS, chaos_config
 
-    schedule = dict(CHAOS_DEFAULTS)
-    for key, value in kwargs.items():
-        if key not in schedule:
-            raise TypeError(f"unknown run_chaos argument: {key!r}")
-        schedule[key] = value
+    schedule = _schedule(CHAOS_DEFAULTS, kwargs, "run_chaos")
     config = chaos_config(
         variant,
         scenario,
@@ -198,11 +203,7 @@ def lora_spec(
     """
     from repro.experiments.lora import LORA_DEFAULTS, lora_config
 
-    schedule = dict(LORA_DEFAULTS)
-    for key, value in kwargs.items():
-        if key not in schedule:
-            raise TypeError(f"unknown run_lora argument: {key!r}")
-        schedule[key] = value
+    schedule = _schedule(LORA_DEFAULTS, kwargs, "run_lora")
     config = lora_config(variant, seed=seed, radio_profile=radio_profile)
     return TaskSpec(
         kind="lora",
@@ -280,11 +281,7 @@ def scale_spec(
 
     if topo not in SCALE_TOPOLOGIES:
         raise ValueError(f"unknown scale topology {topo!r}; choose from {SCALE_TOPOLOGIES}")
-    schedule = dict(SCALE_DEFAULTS)
-    for key, value in kwargs.items():
-        if key not in schedule:
-            raise TypeError(f"unknown scale_point argument: {key!r}")
-        schedule[key] = value
+    schedule = _schedule(SCALE_DEFAULTS, kwargs, "scale_point")
     normalized = _normalize_spatial_index(spatial_index)
     return TaskSpec(
         kind="scale",
@@ -316,11 +313,7 @@ def soak_spec(
     """
     from repro.experiments.soak import SOAK_DEFAULTS, soak_config
 
-    schedule = dict(SOAK_DEFAULTS)
-    for key, value in kwargs.items():
-        if key not in schedule:
-            raise TypeError(f"unknown run_soak argument: {key!r}")
-        schedule[key] = value
+    schedule = _schedule(SOAK_DEFAULTS, kwargs, "run_soak")
     config = soak_config(
         variant,
         seed,

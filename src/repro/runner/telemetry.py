@@ -47,8 +47,8 @@ class RunnerReport:
     """Aggregate outcome of one grid run."""
 
     jobs: int
-    #: Name of the executor that drained the grid ("in-process",
-    #: "local-pool", "queue", …) — see :mod:`repro.runner.executors`.
+    #: Name of the executor that drained the grid ("in-process" or
+    #: "local-pool") — see :mod:`repro.runner.executors`.
     executor: str = "in-process"
     #: The ``jobs`` value as requested (0 = auto-detect); ``jobs`` above is
     #: always the resolved worker count, so auto-detection is never silent.

@@ -81,21 +81,6 @@ class EventQueue:
         self._live += 1
         return event
 
-    def pop(self) -> Optional[Event]:
-        """Remove and return the earliest pending event, or None if empty.
-
-        Cancelled events are discarded transparently.
-        """
-        heap = self._heap
-        while heap:
-            event = heapq.heappop(heap)[2]
-            if event.cancelled:
-                continue
-            self._live -= 1
-            return event
-        self._live = 0
-        return None
-
     def pop_due(self, until: Optional[int]) -> Optional[Event]:
         """Pop the earliest pending event if its time is ``<= until``.
 

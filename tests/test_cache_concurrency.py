@@ -1,4 +1,4 @@
-"""ResultCache under concurrent writers (the farm-workers-share-a-dir case).
+"""ResultCache under concurrent writers (several runs share one cache dir).
 
 The hazard being pinned: a reader observes a damaged entry, decides to
 quarantine it, and meanwhile a concurrent writer atomically installs a

@@ -1,32 +1,15 @@
-"""Executor conformance: every executor produces bit-identical results.
+"""Executor conformance: both executors produce bit-identical results.
 
 The scheduler/executor split (:mod:`repro.runner.executors`) is only safe
 if *where* a cell runs never leaks into *what* it computes. These tests
-drive the same small chaos grid through all three executors — in-process,
-local process pool, and the farm lease queue (self-drain and subprocess
-workers) — and require equal ``trace_digest`` values per cell plus
-equivalent telemetry semantics.
-
-The SIGKILL test is the farm's acceptance criterion: a worker holding a
-lease is killed outright; its cells must be re-leased after the TTL and
-the grid must still complete bit-identically to the serial reference.
+drive the same small chaos grid through the in-process executor
+(``jobs=1``) and the local process pool (``jobs>=2``) and require equal
+``trace_digest`` values per cell plus equivalent telemetry semantics.
 """
-
-import signal
-import subprocess
-import sys
-import time
 
 import pytest
 
-from repro.farm import QueueExecutor
-from repro.farm.queue import LeaseQueue
-from repro.runner import (
-    InProcessExecutor,
-    LocalPoolExecutor,
-    ParallelRunner,
-    ResultCache,
-)
+from repro.runner import ParallelRunner
 from repro.runner.taskspec import chaos_spec, selftest_spec
 
 #: The conformance grid: small but real — chaos cells exercise the full
@@ -62,37 +45,16 @@ class TestBitIdentity:
         assert runner.last_report.executor == "local-pool"
         assert digests(outcomes) == digests(serial_reference)
 
-    def test_queue_self_drain_matches_serial(self, serial_reference, tmp_path):
-        executor = QueueExecutor(tmp_path / "q", workers=0, self_drain=True)
-        runner = ParallelRunner(executor=executor)
-        outcomes = runner.run(chaos_grid())
-        assert runner.last_report.executor == "queue"
-        assert digests(outcomes) == digests(serial_reference)
-
-    def test_queue_subprocess_workers_match_serial(self, serial_reference, tmp_path):
-        executor = QueueExecutor(
-            tmp_path / "q", workers=2, self_drain=False, lease_ttl=30.0
-        )
-        runner = ParallelRunner(executor=executor)
-        outcomes = runner.run(chaos_grid())
-        assert digests(outcomes) == digests(serial_reference)
-
-    def test_explicit_executor_objects_are_honoured(self):
-        assert ParallelRunner(executor=InProcessExecutor()).executor.slots == 1
-        runner = ParallelRunner(jobs=4, executor=LocalPoolExecutor(2))
-        assert runner.executor.slots == 2
-
 
 class TestTelemetryEquivalence:
     """Same grid, same counters — regardless of the executor."""
 
-    def test_counters_match_across_executors(self, tmp_path):
+    def test_counters_match_across_executors(self):
         specs = [selftest_spec(i, payload=11) for i in range(5)]
         reports = {}
         for name, runner in (
             ("in-process", ParallelRunner(jobs=1)),
             ("local-pool", ParallelRunner(jobs=2)),
-            ("queue", ParallelRunner(executor=QueueExecutor(tmp_path / "q"))),
         ):
             outcomes = runner.run(specs)
             assert [o.status for o in outcomes] == ["executed"] * 5
@@ -103,102 +65,3 @@ class TestTelemetryEquivalence:
             assert report.failed == 0 and report.cached == 0
             assert [c.label for c in report.cells] == [s.name for s in specs]
             assert [c.status for c in report.cells] == ["executed"] * 5
-
-    def test_queue_failures_report_like_engine_failures(self, tmp_path):
-        specs = [
-            selftest_spec(0),
-            selftest_spec(1, fault={"error_attempts": 99}),
-        ]
-        runner = ParallelRunner(
-            executor=QueueExecutor(tmp_path / "q"), retries=1
-        )
-        outcomes = runner.run(specs)
-        assert outcomes[0].status == "executed"
-        assert outcomes[1].status == "failed"
-        assert outcomes[1].result is None
-        assert "InjectedFault" in outcomes[1].error
-        report = runner.last_report
-        assert report.failed == 1 and report.executed == 1
-        assert report.cells[1].attempts == 2  # budget honoured farm-wide
-
-    def test_queue_uses_shared_cache_for_dedup(self, tmp_path):
-        cache = ResultCache(tmp_path / "cache")
-        specs = [selftest_spec(i) for i in range(4)]
-        first = ParallelRunner(
-            executor=QueueExecutor(tmp_path / "q1"), cache=cache
-        )
-        first.run(specs)
-        assert first.last_report.executed == 4
-        second = ParallelRunner(
-            executor=QueueExecutor(tmp_path / "q2"), cache=cache
-        )
-        outcomes = second.run(specs)
-        assert second.last_report.cached == 4
-        assert second.last_report.executed == 0
-        assert all(o.status == "cached" for o in outcomes)
-
-
-class TestWorkerDeathRecovery:
-    """The acceptance test: SIGKILL a leased worker, lose nothing."""
-
-    def test_sigkilled_worker_cells_are_re_leased(self, tmp_path):
-        import os
-        import pathlib
-
-        import repro
-
-        queue_dir = tmp_path / "q"
-        specs = [selftest_spec(i, sleep_s=3.0, payload=23) for i in range(2)]
-        # The sleep only pads wall time; results depend on (index, payload)
-        # alone, so the serial reference can skip the sleep.
-        serial = ParallelRunner(jobs=1).run(
-            [selftest_spec(i, payload=23) for i in range(2)]
-        )
-        reference = [o.result for o in serial]
-
-        queue = LeaseQueue(queue_dir, lease_ttl=1.0)
-        queue.put_all(specs)
-
-        env = dict(os.environ)
-        src = str(pathlib.Path(repro.__file__).resolve().parents[1])
-        env["PYTHONPATH"] = src + os.pathsep + env.get("PYTHONPATH", "")
-        worker = subprocess.Popen(
-            [
-                sys.executable, "-m", "repro", "farm", "worker",
-                "--queue-dir", str(queue_dir),
-                "--lease-ttl", "1.0",
-                "--worker-id", "victim",
-                "--quiet",
-            ],
-            env=env,
-        )
-        try:
-            deadline = time.monotonic() + 30
-            while time.monotonic() < deadline:
-                leases = list(queue.leases_dir.glob("*.json"))
-                if leases:
-                    break
-                time.sleep(0.05)
-            else:
-                pytest.fail("worker never claimed a lease")
-            worker.send_signal(signal.SIGKILL)
-            worker.wait(timeout=10)
-        finally:
-            if worker.poll() is None:
-                worker.kill()
-
-        # Drain the rest through the scheduler: the victim's lease expires
-        # after the TTL, the cell is stolen (charging one attempt), and the
-        # grid completes with results identical to the serial reference.
-        executor = QueueExecutor(
-            queue_dir, workers=0, self_drain=True, lease_ttl=1.0
-        )
-        runner = ParallelRunner(executor=executor, retries=2)
-        outcomes = runner.run(specs)
-        assert [o.status for o in outcomes] == ["executed", "executed"]
-        values = [o.result["value"] for o in outcomes]
-        assert values == [r["value"] for r in reference]
-        # The stolen cell's telemetry shows the charged attempt.
-        attempts = [c.attempts for c in runner.last_report.cells]
-        assert max(attempts) >= 2
-        assert runner.last_report.failed == 0

@@ -1,5 +1,7 @@
 """Tests for the report renderers and the CLI argument surface."""
 
+import dataclasses
+
 import pytest
 
 from repro.cli import build_parser
@@ -52,11 +54,24 @@ class TestCsv:
 
 class TestRowBuilders:
     def test_comparison_rows(self):
-        results = {("tele", 26): fake_result(), ("rpl", 19): fake_result("rpl", 19, 0.9)}
+        # A cell that delivered nothing measured zero transmissions and zero
+        # duty cycle: zeros print as numbers, only the missing latency is n/a.
+        silent = dataclasses.replace(
+            fake_result("drip", 19, 0.0),
+            tx_per_control=0.0,
+            duty_cycle=0.0,
+            mean_latency=None,
+        )
+        results = {
+            ("tele", 26): fake_result(),
+            ("rpl", 19): fake_result("rpl", 19, 0.9),
+            ("drip", 19): silent,
+        }
         rows = report.comparison_rows(results)
-        assert len(rows) == 2
-        assert rows[0][0] in ("tele", "rpl")
+        assert len(rows) == 3
         assert all(len(row) == len(report.COMPARISON_HEADERS) for row in rows)
+        assert rows[0] == ["drip", 19, "0.000", "0.00", "0.00", "n/a"]
+        assert rows[2] == ["tele", 26, "0.950", "4.40", "3.10", "0.45"]
 
     def test_pdr_by_hop_rows(self):
         rows = report.pdr_by_hop_rows({"tele": fake_result()})

@@ -94,6 +94,57 @@ class TestRunParser:
         assert args.converge is None and args.drain is None
 
 
+class TestGridDefaults:
+    """Without schedule flags each grid expands to its documented cells."""
+
+    @staticmethod
+    def expand(*argv):
+        from repro.experiments.registry import GRIDS
+
+        args = cli.build_parser().parse_args(["run", *argv])
+        return GRIDS[args.grid].expand(args)
+
+    @staticmethod
+    def expected(grid):
+        from repro.experiments.chaos import chaos_grid_specs
+        from repro.experiments.lora import lora_grid_specs
+        from repro.runner import comparison_spec, scale_spec, soak_spec
+
+        # The CLI's own default for comparison and chaos grids: 20 controls
+        # a minute apart, not the drivers' COMPARISON/CHAOS_DEFAULTS.
+        cli_schedule = dict(n_controls=20, control_interval_s=60.0)
+        if grid == "fig8":
+            return [
+                comparison_spec(v, zigbee_channel=26, seed=1, **cli_schedule)
+                for v in ("tele", "rpl")
+            ]
+        if grid == "chaos":
+            return chaos_grid_specs(
+                ["tele", "re-tele"], [0.25, 0.5, 1.0], [1],
+                scenario="crash-churn", **cli_schedule,
+            )
+        if grid == "lora":
+            return lora_grid_specs(["tele", "drip"], [1], radio_profile="lora")
+        if grid == "scale":
+            return [scale_spec("forest", size=2000, seed=1, spatial_index=True)]
+        return [
+            soak_spec(v, seed=1, zigbee_channel=26, churn_intensity=i)
+            for v in ("tele", "re-tele")
+            for i in (0.25, 0.5, 1.0)
+        ]
+
+    @pytest.mark.parametrize("grid", ["fig8", "chaos", "lora", "scale", "soak"])
+    def test_default_cells(self, grid):
+        got = self.expand(grid)
+        want = self.expected(grid)
+        assert [s.label for s in got] == [s.label for s in want]
+        assert [s.fingerprint for s in got] == [s.fingerprint for s in want]
+
+    def test_zero_battery_disables_depletion(self):
+        specs = self.expand("soak", "--battery-mah", "0")
+        assert {s.params["schedule"]["battery_mah"] for s in specs} == {None}
+
+
 class TestRunExecution:
     def test_grid_expands_variants_by_seeds(self, tmp_path, stub_comparison, capsys):
         rc = run_cli(tmp_path)

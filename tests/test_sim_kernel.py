@@ -12,7 +12,7 @@ from repro.sim.simulator import SimulationError
 class TestEventQueue:
     def test_empty_queue_pops_none(self):
         q = EventQueue()
-        assert q.pop() is None
+        assert q.pop_due(None) is None
         assert len(q) == 0
         assert not q
 
@@ -21,7 +21,7 @@ class TestEventQueue:
         q.push(30, lambda: None)
         q.push(10, lambda: None)
         q.push(20, lambda: None)
-        times = [q.pop().time for _ in range(3)]
+        times = [q.pop_due(None).time for _ in range(3)]
         assert times == [10, 20, 30]
 
     def test_fifo_within_same_time(self):
@@ -31,7 +31,7 @@ class TestEventQueue:
         q.push(5, order.append, (2,))
         q.push(5, order.append, (3,))
         while q:
-            event = q.pop()
+            event = q.pop_due(None)
             event.callback(*event.args)
         assert order == [1, 2, 3]
 
@@ -41,7 +41,7 @@ class TestEventQueue:
         drop = q.push(5, lambda: "drop")
         drop.cancel()
         q.note_cancelled()
-        assert q.pop() is keep
+        assert q.pop_due(None) is keep
 
     def test_peek_time_skips_cancelled(self):
         q = EventQueue()
@@ -56,7 +56,7 @@ class TestEventQueue:
             q.push(i, lambda: None)
         q.clear()
         assert len(q) == 0
-        assert q.pop() is None
+        assert q.pop_due(None) is None
 
     def test_pending_property(self):
         q = EventQueue()
@@ -72,7 +72,7 @@ class TestEventQueue:
             q.push(t, lambda: None)
         popped = []
         while q:
-            popped.append(q.pop().time)
+            popped.append(q.pop_due(None).time)
         assert popped == sorted(times)
 
 
