@@ -35,15 +35,20 @@ def test_event_loop_throughput(benchmark):
 
 
 def test_timer_churn(benchmark):
-    """Cancel/restart-heavy timer usage (the Trickle pattern)."""
-    from repro.sim import Timer
+    """Cancel/restart-heavy scheduling (the Trickle pattern)."""
 
     def run():
         sim = Simulator(seed=1)
         fired = [0]
-        timer = Timer(sim, lambda: fired.__setitem__(0, fired[0] + 1))
-        for i in range(20_000):
-            timer.start_one_shot(5)  # restart cancels the previous
+
+        def fire():
+            fired[0] += 1
+
+        handle = None
+        for _ in range(20_000):
+            if handle is not None:
+                sim.cancel(handle)  # restart cancels the previous
+            handle = sim.schedule(5, fire)
         sim.run()
         return fired[0]
 

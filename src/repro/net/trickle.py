@@ -11,8 +11,7 @@ from __future__ import annotations
 
 from typing import Callable, Optional
 
-from repro.sim.events import Event
-from repro.sim.simulator import Simulator
+from repro.sim.simulator import EventHandle, Simulator
 from repro.sim.units import MILLISECOND, SECOND
 
 
@@ -46,8 +45,8 @@ class TrickleTimer:
         self._rng = sim.rng(rng_name or f"trickle-{id(self)}")
         self.interval = i_min
         self.counter = 0
-        self._fire_event: Optional[Event] = None
-        self._interval_event: Optional[Event] = None
+        self._fire_event: Optional[EventHandle] = None
+        self._interval_event: Optional[EventHandle] = None
         self._running = False
 
     # ----------------------------------------------------------------- state
@@ -90,9 +89,9 @@ class TrickleTimer:
 
     # -------------------------------------------------------------- internals
     def _cancel_pending(self) -> None:
-        if self._fire_event is not None and self._fire_event.pending:
+        if self._fire_event is not None:
             self.sim.cancel(self._fire_event)
-        if self._interval_event is not None and self._interval_event.pending:
+        if self._interval_event is not None:
             self.sim.cancel(self._interval_event)
         self._fire_event = None
         self._interval_event = None

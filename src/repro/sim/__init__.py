@@ -7,17 +7,14 @@ across platforms (no floating-point drift in the event queue).
 
 Public surface:
 
-- :class:`Simulator` — clock, event queue, seeded RNG tree.
-- :class:`Event` / :class:`EventQueue` — ordered, cancellable events.
-- :class:`Timer` — one-shot / periodic timers built on the simulator.
+- :class:`Simulator` — clock, event queue, seeded RNG tree. ``schedule``
+  returns an opaque handle that only ``cancel`` reads.
 - :class:`Tracer` — structured trace records for tests and debugging.
 - time helpers in :mod:`repro.sim.units` (``MICROSECOND``..``MINUTE``,
   ``from_seconds``/``to_seconds``).
 """
 
-from repro.sim.events import Event, EventQueue
 from repro.sim.simulator import KERNEL_BEHAVIOR_VERSION, Simulator
-from repro.sim.timer import Timer
 from repro.sim.trace import TraceRecord, Tracer
 from repro.sim.units import (
     MICROSECOND,
@@ -29,11 +26,8 @@ from repro.sim.units import (
 )
 
 __all__ = [
-    "Event",
-    "EventQueue",
     "KERNEL_BEHAVIOR_VERSION",
     "Simulator",
-    "Timer",
     "Tracer",
     "TraceRecord",
     "MICROSECOND",
