@@ -55,11 +55,6 @@ class ChildTable:
         """All current entries as a list."""
         return list(self._entries.values())
 
-    def position_of(self, child: int) -> Optional[int]:
-        """The child's allocated position, or None."""
-        entry = self._entries.get(child)
-        return entry.position if entry is not None else None
-
     def used_positions(self) -> Set[int]:
         """The set of positions currently allocated."""
         return {entry.position for entry in self._entries.values()}

@@ -28,7 +28,7 @@ from repro.radio.frame import Frame
 from repro.radio.noise import ConstantNoise, NoiseModel
 from repro.radio.profiles import RadioProfile, get_radio_profile
 from repro.radio.radio import IDLE, RECEIVING, Radio
-from repro.radio.spatial import SpatialChannel, get_numpy
+from repro.radio.spatial import SpatialChannel
 from repro.sim.simulator import Simulator
 
 
@@ -109,9 +109,6 @@ class Channel:
     (default: the deaf threshold) is the received power below which links
     are culled before any per-receiver SNR work.
     """
-
-    #: Audible-list length from which the vectorised rx-map path pays off.
-    _NUMPY_MIN_AUDIBLE = 32
 
     def __init__(
         self,
@@ -199,10 +196,6 @@ class Channel:
             else None
         )
         self._propagation = propagation
-        # Per-source (ids, gains) numpy columns mirroring _audible, built
-        # lazily for the vectorised rx-map path; dropped whenever the
-        # corresponding audible row is rebuilt.
-        self._audible_np: Dict[int, Tuple[Any, Any]] = {}
         self._audible: Dict[int, List[Tuple[int, float, Tuple[int, int]]]] = {}
         if spatial is not None:
             if gains:
@@ -275,7 +268,6 @@ class Channel:
             self._audible[a] = entries
         else:
             self._audible.pop(a, None)
-        self._audible_np.pop(a, None)
 
     # ------------------------------------------------------------ attachment
     def attach(self, radio: Radio) -> None:
@@ -364,27 +356,7 @@ class Channel:
                 if rx_power >= deaf:
                     rx_map[neighbor_id] = rx_power
         else:
-            entries = self._audible.get(src, ())
-            if not link_faults and len(entries) >= self._NUMPY_MIN_AUDIBLE:
-                np = get_numpy()
-                if np is not None:
-                    # Vectorised fast path, bit-identical to the loop below:
-                    # tx_power + gain is the same IEEE-754 add elementwise,
-                    # the >= compare is exact, and .tolist() hands back the
-                    # native Python ints/floats the scalar loop would have
-                    # produced (np.float64 must never leak into rx maps — it
-                    # would poison trace records and JSON encoding).
-                    columns = self._audible_np.get(src)
-                    if columns is None:
-                        columns = (
-                            np.asarray([e[0] for e in entries], dtype=np.intp),
-                            np.asarray([e[1] for e in entries], dtype=np.float64),
-                        )
-                        self._audible_np[src] = columns
-                    rx = tx_power + columns[1]
-                    keep = rx >= deaf
-                    return dict(zip(columns[0][keep].tolist(), rx[keep].tolist()))
-            for neighbor_id, gain, fkey in entries:
+            for neighbor_id, gain, fkey in self._audible.get(src, ()):
                 rx_power = tx_power + gain
                 if link_faults:
                     rx_power -= link_faults.get(fkey, 0.0)
@@ -564,7 +536,7 @@ class Channel:
         for b in old_neighbors:
             del self.gains[(node_id, b)]
             del self.gains[(b, node_id)]
-        spatial.move(node_id, new_pos)
+        spatial.index.move(node_id, new_pos)
         pos = spatial.index._positions
         pos_a = pos[node_id]
         link_gain_db = spatial.propagation.link_gain_db

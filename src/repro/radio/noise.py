@@ -120,29 +120,9 @@ class CPMNoiseModel:
     def _bin(self, dbm: float) -> int:
         return int(dbm // self.bin_width_db)
 
-    def _bin_batch(self, readings: Sequence[float]) -> List[int]:
-        """Quantise many readings; each element equals the scalar :meth:`_bin`.
-
-        numpy's ``floor_divide`` implements CPython's fmod-corrected float
-        floor-division algorithm, so the vectorised bins match ``//`` bit for
-        bit (``tests/test_radio_models.py`` holds this as a hypothesis
-        property); the scalar path is the fallback when numpy is absent or
-        disabled.
-        """
-        if len(readings) >= 1024:
-            from repro.radio.spatial import get_numpy
-
-            np = get_numpy()
-            if np is not None:
-                quotients = np.floor_divide(
-                    np.asarray(readings, dtype=np.float64), self.bin_width_db
-                )
-                return [int(q) for q in quotients.tolist()]
-        bin_one = self._bin
-        return [bin_one(x) for x in readings]
-
     def _train(self, trace: Sequence[float]) -> None:
-        bins = self._bin_batch(trace)
+        bin_width = self.bin_width_db
+        bins = [int(x // bin_width) for x in trace]
         for i in range(self.history, len(trace)):
             nxt = trace[i]
             for h in range(1, self.history + 1):

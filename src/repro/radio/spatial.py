@@ -24,23 +24,19 @@ to *local density* instead:
 
 Bit-identity discipline
 -----------------------
-numpy (optional, see :func:`get_numpy`) is used **only for culling
-decisions** — squared-distance prefilters guarded by a margin — never for a
-value that enters the simulation. Gains, fading, and noise stay on the same
-scalar ``math``/``random`` code paths as the brute-force walk, so a run with
-the index enabled is event-for-event identical to one without it: the index
-changes *which pairs are even considered*, and the interference floor plus
-the shadowing margin guarantee the considered set is a superset of every
-pair that could matter. Transcendentals (``log10``, ``gauss``) are never
-evaluated through numpy: unlike IEEE +,−,×,/ they are not exactly specified
-and may differ from ``math``'s libm by an ulp across platforms.
+The squared-distance prefilter is used **only for culling decisions**,
+guarded by a margin, never for a value that enters the simulation. Gains,
+fading, and noise stay on the same scalar ``math``/``random`` code paths as
+the brute-force walk, so a run with the index enabled is event-for-event
+identical to one without it: the index changes *which pairs are even
+considered*, and the interference floor plus the shadowing margin guarantee
+the considered set is a superset of every pair that could matter.
 """
 
 from __future__ import annotations
 
 import bisect
 import math
-import os
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence, Tuple
 
@@ -54,27 +50,6 @@ Position = Tuple[float, float]
 #: beyond the culled radius; at that point the draw is indistinguishable
 #: from an RNG bug. Raise it if you run with extreme shadowing sigmas.
 DEFAULT_SHADOW_SIGMA_MULTIPLE = 6.0
-
-#: Candidate-list length below which the scalar distance filter beats the
-#: numpy one (array creation overhead dominates tiny batches).
-_NUMPY_MIN_BATCH = 16
-
-
-def get_numpy():
-    """numpy if importable and not disabled via ``REPRO_NO_NUMPY=1``.
-
-    Every numpy batch path in the radio layer goes through this gate so one
-    environment variable exercises the pure-Python fallbacks (a CI matrix
-    leg runs the tier-1 suite this way).
-    """
-    if os.environ.get("REPRO_NO_NUMPY"):
-        return None
-    try:
-        import numpy
-    except ImportError:  # pragma: no cover - exercised via REPRO_NO_NUMPY
-        return None
-    return numpy
-
 
 @dataclass(frozen=True)
 class SpatialIndexParams:
@@ -128,10 +103,6 @@ class GridIndex:
             int(math.floor(pos[0] / self.cell_size)),
             int(math.floor(pos[1] / self.cell_size)),
         )
-
-    def position(self, node_id: int) -> Position:
-        """Current position of one node."""
-        return self._positions[node_id]
 
     def move(self, node_id: int, new_pos: Position) -> None:
         """Re-home a node into its new cell (the mobility seam)."""
@@ -234,7 +205,7 @@ class SpatialChannel:
 
     Gain queries (:meth:`link_gain`, the values behind :meth:`candidates`)
     are exact scalar calls into the shared :class:`LogDistancePathLoss`;
-    numpy only prefilters candidates by squared distance.
+    the squared-distance predicate only prefilters candidates.
     """
 
     def __init__(
@@ -260,48 +231,27 @@ class SpatialChannel:
         # any last-ulp disagreement between the squared form and math.dist)
         # only costs a few extra candidates, never correctness.
         self._r2 = (self.radius * (1.0 + 1e-12)) ** 2
-        np = get_numpy()
-        self._np = np
-        if np is not None:
-            pos = self.index._positions
-            self._xs = np.asarray([p[0] for p in pos], dtype=np.float64)
-            self._ys = np.asarray([p[1] for p in pos], dtype=np.float64)
-        else:  # pragma: no cover - exercised via REPRO_NO_NUMPY
-            self._xs = self._ys = None
 
     def __len__(self) -> int:
         return len(self.index)
 
-    def move(self, node_id: int, new_pos: Position) -> None:
-        """Relocate one node, keeping grid cells and prefilter arrays fresh."""
-        self.index.move(node_id, new_pos)
-        if self._xs is not None:
-            x, y = self.index.position(node_id)
-            self._xs[node_id] = x
-            self._ys[node_id] = y
-
     def candidates(self, node_id: int) -> List[int]:
         """Ids within the culling radius of ``node_id`` (ascending, no self).
 
-        Grid cells give a superset; the exact squared-distance predicate
-        (vectorised when numpy is available and the batch is big enough)
-        trims it. Python ints out, regardless of the filter used.
+        Grid cells give a superset; the squared-distance predicate trims it.
         """
         cand = self.index.neighbors_of(node_id, self.radius)
-        if not cand:
-            return cand
         pos = self.index._positions
         ax, ay = pos[node_id]
-        np = self._np
-        if np is not None and len(cand) >= _NUMPY_MIN_BATCH:
-            idx = np.asarray(cand, dtype=np.intp)
-            dx = self._xs[idx] - ax
-            dy = self._ys[idx] - ay
-            return idx[(dx * dx + dy * dy) <= self._r2].tolist()
         r2 = self._r2
-        return [
-            b for b in cand if (pos[b][0] - ax) ** 2 + (pos[b][1] - ay) ** 2 <= r2
-        ]
+        out = []
+        for b in cand:
+            bx, by = pos[b]
+            dx = bx - ax
+            dy = by - ay
+            if dx * dx + dy * dy <= r2:
+                out.append(b)
+        return out
 
     def link_gain(self, a: int, b: int) -> Optional[float]:
         """Exact gain for a pair inside the culling radius, else None."""

@@ -26,13 +26,3 @@ def from_seconds(seconds: float) -> int:
 def to_seconds(ticks: int) -> float:
     """Convert integer simulator ticks (microseconds) to float seconds."""
     return ticks / SECOND
-
-
-def from_milliseconds(milliseconds: float) -> int:
-    """Convert float milliseconds to integer simulator ticks."""
-    return round(milliseconds * MILLISECOND)
-
-
-def to_milliseconds(ticks: int) -> float:
-    """Convert integer simulator ticks to float milliseconds."""
-    return ticks / MILLISECOND

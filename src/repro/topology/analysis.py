@@ -1,17 +1,15 @@
-"""Topology analysis helpers (connectivity, expected tree shape).
+"""Topology analysis helpers (usable-link adjacency, hop counts, repair).
 
-Built on :mod:`networkx` (one of the allowed dependencies) so deployments
-can be sanity-checked *before* spending simulation time: is the network
-connected at this power level, how deep will the tree be, where are the
-articulation points whose failure partitions the field — the questions the
-paper's testbed construction answers empirically.
+Deployments can be sanity-checked *before* spending simulation time: which
+links clear a PRR threshold, how many hops each node sits from the sink,
+and which nodes are stranded. The city-scale generators use
+:func:`unreachable_nodes` to repair their layouts.
 """
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Set, Tuple
-
-import networkx as nx
+from collections import deque
+from typing import Dict, List, Optional
 
 from repro.radio.profiles import RadioProfile, get_radio_profile
 from repro.topology.deployments import Deployment
@@ -22,19 +20,18 @@ def link_graph(
     min_prr: float = 0.5,
     frame_bytes: int = 40,
     profile: Optional[RadioProfile] = None,
-) -> "nx.Graph":
-    """Undirected graph of links whose clean-channel PRR is ≥ ``min_prr``.
+) -> Dict[int, List[int]]:
+    """Undirected adjacency (node → neighbours) of links with PRR ≥ ``min_prr``.
 
     PRR is computed from the deployment's propagation model, each node's
     transmit power, and the radio profile's sensitivity/noise/PRR curve
     (default: CC2420) — exactly like
     :meth:`repro.radio.channel.Channel.expected_prr` but without building a
-    simulator.
+    simulator. Every node has an entry, isolated ones an empty list.
     """
     if profile is None:
         profile = get_radio_profile(None)
-    graph = nx.Graph()
-    graph.add_nodes_from(range(deployment.size))
+    graph: Dict[int, List[int]] = {node: [] for node in range(deployment.size)}
     if deployment.size > 512:
         # City scale: all-pairs gains are O(N²) memory. Links below the radio
         # sensitivity can never carry a usable PRR, so build only the pairs
@@ -62,22 +59,10 @@ def link_graph(
         if rx < profile.sensitivity_dbm:
             continue
         snr = rx - profile.noise_floor_dbm
-        prr = profile.prr(snr, frame_bytes)
-        if prr >= min_prr:
-            graph.add_edge(a, b, prr=prr)
+        if profile.prr(snr, frame_bytes) >= min_prr:
+            graph[a].append(b)
+            graph[b].append(a)
     return graph
-
-
-def is_connected(
-    deployment: Deployment,
-    min_prr: float = 0.5,
-    profile: Optional[RadioProfile] = None,
-) -> bool:
-    """True when every node can reach the sink over usable links."""
-    graph = link_graph(deployment, min_prr, profile=profile)
-    if deployment.size == 0:
-        return True
-    return nx.is_connected(graph)
 
 
 def hop_counts(
@@ -91,24 +76,16 @@ def hop_counts(
     the lower bound the CTP tree converges toward on clean channels.
     """
     graph = link_graph(deployment, min_prr, profile=profile)
-    return dict(nx.single_source_shortest_path_length(graph, deployment.sink))
-
-
-def expected_max_depth(deployment: Deployment, min_prr: float = 0.5) -> int:
-    """The deepest reachable node's hop count (0 when nothing is reachable)."""
-    counts = hop_counts(deployment, min_prr)
-    return max(counts.values(), default=0)
-
-
-def articulation_nodes(deployment: Deployment, min_prr: float = 0.5) -> Set[int]:
-    """Nodes whose failure disconnects part of the network.
-
-    These are where the paper's backtracking / Re-Tele countermeasures earn
-    their keep: a control packet crossing an articulation point has no
-    opportunistic alternatives.
-    """
-    graph = link_graph(deployment, min_prr)
-    return set(nx.articulation_points(graph))
+    counts = {deployment.sink: 0}
+    frontier = deque([deployment.sink])
+    while frontier:
+        node = frontier.popleft()
+        hops = counts[node] + 1
+        for neighbor in graph[node]:
+            if neighbor not in counts:
+                counts[neighbor] = hops
+                frontier.append(neighbor)
+    return counts
 
 
 def unreachable_nodes(
@@ -119,16 +96,3 @@ def unreachable_nodes(
     """Nodes with no usable path to the sink at this PRR threshold."""
     reachable = hop_counts(deployment, min_prr, profile=profile)
     return sorted(set(range(deployment.size)) - set(reachable))
-
-
-def degree_stats(deployment: Deployment, min_prr: float = 0.5) -> Dict[str, float]:
-    """Min/mean/max usable-neighbour counts."""
-    graph = link_graph(deployment, min_prr)
-    degrees = [d for _, d in graph.degree()]
-    if not degrees:
-        return {"min": 0.0, "mean": 0.0, "max": 0.0}
-    return {
-        "min": float(min(degrees)),
-        "mean": sum(degrees) / len(degrees),
-        "max": float(max(degrees)),
-    }

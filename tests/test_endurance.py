@@ -35,10 +35,9 @@ SMOKE = dict(
     tail_windows=8,
 )
 
-#: ``soak_digest`` of ``run_soak("tele", seed=3, **SMOKE)``, the same with
-#: and without numpy. The only pinned digest over mobility, battery deaths
-#: and reclamation — the write side of the channel and link-estimator
-#: caches. Same policy as tests/golden/: a mismatch after a pure
+#: ``soak_digest`` of ``run_soak("tele", seed=3, **SMOKE)``. The only
+#: pinned digest over mobility, battery deaths and reclamation — the write
+#: side of the channel and link-estimator caches. Same policy as tests/golden/: a mismatch after a pure
 #: optimisation means the optimisation is wrong; re-pin only together with
 #: a KERNEL_BEHAVIOR_VERSION bump.
 SMOKE_SOAK_DIGEST = "6c3b1dc013c7cfad3d20b0c3c32e65549f5b8be85a71d545d7de7b7940ccf4b1"

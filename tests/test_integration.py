@@ -5,6 +5,20 @@ import pytest
 import repro
 from repro.experiments.harness import Network, NetworkConfig
 from repro.topology import random_uniform
+from repro.topology.analysis import link_graph
+
+
+def sink_side(graph, sink, skip=None):
+    """Nodes the sink reaches over ``graph`` without passing through ``skip``."""
+    seen = {sink}
+    frontier = [sink]
+    while frontier:
+        node = frontier.pop()
+        for neighbor in graph[node]:
+            if neighbor != skip and neighbor not in seen:
+                seen.add(neighbor)
+                frontier.append(neighbor)
+    return seen
 
 
 def run_small_scenario(seed: int):
@@ -56,14 +70,15 @@ class TestDynamics:
             )
         )
         net.converge(max_seconds=150)
-        # Fail a non-articulation relay and check the network re-coded.
-        from repro.topology.analysis import articulation_nodes
-
-        cuts = articulation_nodes(deployment, min_prr=0.5)
+        # Fail a relay whose loss strands no node from the sink, and check
+        # the network re-coded.
+        graph = link_graph(deployment, min_prr=0.5)
+        reached = sink_side(graph, deployment.sink)
         relays = [
             n
             for n in net.non_sink_nodes()
-            if net.stacks[n].routing.children and n not in cuts
+            if net.stacks[n].routing.children
+            and sink_side(graph, deployment.sink, skip=n) == reached - {n}
         ]
         if not relays:
             pytest.skip("no safe relay to fail in this topology")

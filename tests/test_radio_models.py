@@ -158,29 +158,3 @@ class TestNoise:
         noise = ConstantNoise(-95.0)
         assert noise.sample() == -95.0
         assert noise.fork(7).sample() == -95.0
-
-    @given(
-        readings=st.lists(
-            st.floats(min_value=-130.0, max_value=-20.0, allow_nan=False),
-            min_size=1,
-            max_size=40,
-        ),
-        bin_width=st.floats(min_value=0.25, max_value=8.0, allow_nan=False),
-    )
-    def test_bin_batch_matches_scalar_floor_division(self, readings, bin_width):
-        # The promise noise.py makes for its vectorised training path:
-        # numpy floor_divide == Python's // on every float, bit for bit.
-        trace = synthesize_meyer_like_trace(length=200, seed=0)
-        model = CPMNoiseModel(trace, bin_width_db=bin_width, seed=1)
-        scalar = [model._bin(x) for x in readings]
-        assert model._bin_batch(readings) == scalar
-        # Force the batch over the numpy threshold (>= 1024 readings) too.
-        big = readings * (1024 // len(readings) + 1)
-        assert model._bin_batch(big) == [model._bin(x) for x in big]
-
-    def test_bin_batch_without_numpy(self, monkeypatch):
-        monkeypatch.setenv("REPRO_NO_NUMPY", "1")
-        trace = synthesize_meyer_like_trace(length=200, seed=0)
-        model = CPMNoiseModel(trace, seed=1)
-        readings = [-98.7, -54.3, -110.0] * 400
-        assert model._bin_batch(readings) == [model._bin(x) for x in readings]

@@ -10,7 +10,7 @@ The contracts held here (see docs/performance.md, "Spatial index"):
   pair both materialise, and the sparse map misses no pair the channel
   could ever hear;
 - a Channel built on a SpatialChannel derives the same audible rows and
-  rx-power maps as one built on the dense O(N²) matrix, numpy or not;
+  rx-power maps as one built on the dense O(N²) matrix;
 - mobility (``move_node``) and dense gain patches (``update_link_gains``)
   invalidate the memoised per-source rx maps (the PR 3 caches) — a moved
   node must never be priced at its old position.
@@ -31,7 +31,6 @@ from repro.radio.spatial import (
     GridIndex,
     SpatialChannel,
     SpatialIndexParams,
-    get_numpy,
     interference_range_m,
     sparse_gain_matrix,
 )
@@ -146,10 +145,8 @@ class TestCullingSuperset:
         assert ranges == sorted(ranges), "lower floor must mean larger radius"
 
 
-def build_pair_of_channels(positions, seed, fading=0.0, no_numpy=False, monkeypatch=None):
+def build_pair_of_channels(positions, seed, fading=0.0):
     """One dense and one spatial Channel over identical physics."""
-    if no_numpy:
-        monkeypatch.setenv("REPRO_NO_NUMPY", "1")
     propagation = LogDistancePathLoss(pl_d0=40.0, seed=seed, shadowing_sigma=3.2)
     dense_gains = propagation.gain_matrix(positions)
     dense = Channel(
@@ -170,17 +167,14 @@ def build_pair_of_channels(positions, seed, fading=0.0, no_numpy=False, monkeypa
 
 
 class TestChannelEquivalence:
-    @pytest.mark.parametrize("no_numpy", [False, True])
     @pytest.mark.parametrize("fading", [0.0, 2.5])
-    def test_audible_rows_and_rx_maps_match(self, fading, no_numpy, monkeypatch):
+    def test_audible_rows_and_rx_maps_match(self, fading):
         rng_positions = __import__("random").Random(7)
         positions = [
             (rng_positions.uniform(0, 300), rng_positions.uniform(0, 300))
             for _ in range(120)
         ]
-        dense, spatial = build_pair_of_channels(
-            positions, seed=3, fading=fading, no_numpy=no_numpy, monkeypatch=monkeypatch
-        )
+        dense, spatial = build_pair_of_channels(positions, seed=3, fading=fading)
         assert dense._audible.keys() == spatial._audible.keys()
         for src in dense._audible:
             assert dense._audible[src] == spatial._audible[src]
@@ -190,7 +184,7 @@ class TestChannelEquivalence:
                 assert want == got
                 assert all(
                     type(k) is int and type(v) is float for k, v in got.items()
-                ), "numpy scalar types must not leak into rx maps"
+                ), "rx maps must hold plain ints and floats"
 
     def test_link_gain_on_demand_matches_dense(self):
         rng = __import__("random").Random(11)
@@ -312,7 +306,7 @@ class TestRxCacheInvalidation:
             )
 
 
-class TestParamsAndNumpyGate:
+class TestParams:
     def test_params_canonical_dict(self):
         params = SpatialIndexParams()
         assert params.to_dict() == {
@@ -320,12 +314,3 @@ class TestParamsAndNumpyGate:
             "interference_floor_dbm": -110.0,
             "shadow_sigma_multiple": 6.0,
         }
-
-    def test_numpy_gate_honours_env(self, monkeypatch):
-        monkeypatch.delenv("REPRO_NO_NUMPY", raising=False)
-        has_numpy = get_numpy() is not None
-        monkeypatch.setenv("REPRO_NO_NUMPY", "1")
-        assert get_numpy() is None
-        if has_numpy:
-            monkeypatch.delenv("REPRO_NO_NUMPY")
-            assert get_numpy() is not None
