@@ -206,12 +206,9 @@ class Channel:
                     f"{spatial.cull_floor_dbm} > {self._audible_floor} dB — "
                     "culling would drop audible links"
                 )
-            # Derive audible rows from grid candidates: per source, candidates
-            # come back in ascending id order — the same order the dense
-            # builder's (a, b) iteration produces — and each gain is the
-            # exact scalar float gain_matrix would have computed. Only
-            # audible-pair gains are materialised (the sparse win: O(N·density)
-            # memory instead of O(N²)).
+            # Derive audible rows from grid candidates, identical to the dense
+            # build's. Only audible-pair gains are materialised (the sparse
+            # win: O(N·density) memory instead of O(N²)).
             self.gains = {}
             self._build_audible_from_spatial()
         else:
@@ -232,23 +229,29 @@ class Channel:
         self.reception_filters: List[Callable[[int, int, Frame], bool]] = []
 
     def _build_audible_from_spatial(self) -> None:
+        """Audible rows from one pass over the unordered candidate pairs.
+
+        An audible pair's gain float and link key serve both rows and both
+        ``gains`` entries. Pairs arrive ascending in ``(a, b)``, so ``a``
+        joins ``b``'s row before ``b``'s own visit: rows stay ascending.
+        """
         spatial = self._spatial
         assert spatial is not None
         audible_floor = self._audible_floor
         gains = self.gains
-        pos = spatial.index._positions
-        link_gain_db = spatial.propagation.link_gain_db
-        audible = self._audible
-        for a in range(len(spatial)):
-            pos_a = pos[a]
-            entries = []
-            for b in spatial.candidates(a):
-                gain = link_gain_db(a, b, pos_a, pos[b])
-                if gain >= audible_floor:
-                    entries.append((b, gain, (a, b) if a <= b else (b, a)))
-                    gains[(a, b)] = gain
-            if entries:
-                audible[a] = entries
+        rows: List[List[Tuple[int, float, Tuple[int, int]]]] = [
+            [] for _ in range(len(spatial))
+        ]
+        for a, b, gain in spatial.pair_gains():
+            if gain >= audible_floor:
+                key = (a, b)
+                gains[key] = gain
+                gains[(b, a)] = gain
+                rows[a].append((b, gain, key))
+                rows[b].append((a, gain, key))
+        for a, row in enumerate(rows):
+            if row:
+                self._audible[a] = row
 
     def _rebuild_audible_row(self, a: int, touched: Set[int]) -> None:
         """Recompute ``_audible[a]`` from ``self.gains`` after gain updates.

@@ -57,17 +57,16 @@ class LogDistancePathLoss:
             "shadowing_sigma": self.shadowing_sigma,
         }
 
-    def _link_key(self, a: int, b: int) -> Tuple[int, int]:
-        return (a, b) if a <= b else (b, a)
+    def _draw_shadowing_db(self, lo: int, hi: int) -> float:
+        # Stable per-link RNG so gain(a,b) does not depend on query order.
+        rng = random.Random((self._seed << 32) ^ (lo << 16) ^ hi)
+        return rng.gauss(0.0, self.shadowing_sigma)
 
     def _shadowing_db(self, a: int, b: int) -> float:
-        key = self._link_key(a, b)
+        key = (a, b) if a <= b else (b, a)
         value = self._shadowing.get(key)
         if value is None:
-            # Stable per-link RNG so gain(a,b) does not depend on query order.
-            rng = random.Random((self._seed << 32) ^ (key[0] << 16) ^ key[1])
-            value = rng.gauss(0.0, self.shadowing_sigma)
-            self._shadowing[key] = value
+            value = self._shadowing[key] = self._draw_shadowing_db(*key)
         return value
 
     def path_loss_db(self, distance: float) -> float:
@@ -100,15 +99,27 @@ class LogDistancePathLoss:
         distance = math.dist(pos_a, pos_b)
         return -(self.path_loss_db(distance) + self._shadowing_db(a, b))
 
+    def pair_gain_db(
+        self, lo: int, hi: int, pos_lo: Position, pos_hi: Position
+    ) -> float:
+        """:meth:`link_gain_db` of the pair ``lo < hi``, its draw not memoised."""
+        distance = math.dist(pos_lo, pos_hi)
+        return -(self.path_loss_db(distance) + self._draw_shadowing_db(lo, hi))
+
     def gain_matrix(
         self, positions: Sequence[Position]
     ) -> Dict[Tuple[int, int], float]:
-        """All-pairs gains for nodes ``0..len(positions)-1`` (both directions)."""
+        """All-pairs gains for nodes ``0..len(positions)-1`` (both directions).
+
+        Row-major order; ``(a, b)`` with ``a > b`` copies its symmetric mirror.
+        """
         gains: Dict[Tuple[int, int], float] = {}
         n = len(positions)
         for a in range(n):
+            pos_a = positions[a]
             for b in range(n):
-                if a == b:
-                    continue
-                gains[(a, b)] = self.link_gain_db(a, b, positions[a], positions[b])
+                if b < a:
+                    gains[(a, b)] = gains[(b, a)]
+                elif b > a:
+                    gains[(a, b)] = self.link_gain_db(a, b, pos_a, positions[b])
         return gains

@@ -17,10 +17,10 @@ to *local density* instead:
   exact per-pair gain queries; :class:`~repro.radio.channel.Channel` accepts
   one in place of a dense gain dict and derives *identical* audible-neighbour
   lists from it.
-- :func:`sparse_gain_matrix` builds exactly the link-gain entries the dense
-  :meth:`~repro.radio.propagation.LogDistancePathLoss.gain_matrix` would
-  have produced for pairs inside the culling radius — same per-link floats,
-  bit for bit — and skips the rest.
+- :meth:`SpatialChannel.pair_gains` prices each unordered candidate pair
+  once, with the dense ``gain_matrix`` float and an unmemoised shadowing
+  draw; the channel's audible rows and the repair's link graph read it, so
+  a city-scale build keeps no draw per candidate pair.
 
 Bit-identity discipline
 -----------------------
@@ -38,7 +38,7 @@ from __future__ import annotations
 import bisect
 import math
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, Iterator, List, Optional, Sequence, Tuple
 
 from repro.radio.propagation import LogDistancePathLoss
 
@@ -161,17 +161,15 @@ def interference_range_m(
     max_tx_power_dbm: float,
     interference_floor_dbm: float,
     shadow_sigma_multiple: float = DEFAULT_SHADOW_SIGMA_MULTIPLE,
-    extra_margin_db: float = 0.0,
 ) -> float:
     """Distance beyond which no receiver can clear the interference floor.
 
     Solves ``max_tx − PL(d) + margin = floor`` for ``d`` where the margin is
-    ``shadow_sigma_multiple · shadowing_sigma + extra_margin_db`` (the extra
-    term absorbs e.g. the channel's fading headroom). Inside this radius a
-    link *might* matter; outside it cannot, even with the most favourable
+    ``shadow_sigma_multiple · shadowing_sigma``. Inside this radius a link
+    *might* matter; outside it cannot, even with the most favourable
     plausible shadowing draw.
     """
-    margin = shadow_sigma_multiple * propagation.shadowing_sigma + extra_margin_db
+    margin = shadow_sigma_multiple * propagation.shadowing_sigma
     budget = max_tx_power_dbm + margin - interference_floor_dbm
     return propagation.max_range_m(budget)
 
@@ -203,9 +201,9 @@ class SpatialChannel:
     candidate set a superset of every audible pair up to the
     ``shadow_sigma_multiple``·σ shadowing margin.
 
-    Gain queries (:meth:`link_gain`, the values behind :meth:`candidates`)
-    are exact scalar calls into the shared :class:`LogDistancePathLoss`;
-    the squared-distance predicate only prefilters candidates.
+    Gain queries (:meth:`link_gain`, :meth:`pair_gains`) are exact scalar
+    calls into the shared :class:`LogDistancePathLoss`; the squared-distance
+    predicate, one form in every method, only prefilters candidates.
     """
 
     def __init__(
@@ -253,45 +251,27 @@ class SpatialChannel:
                 out.append(b)
         return out
 
+    def pair_gains(self) -> Iterator[Tuple[int, int, float]]:
+        """Each unordered candidate pair once: ``(a, b, gain)``, ``a < b`` ascending.
+
+        Candidacy is symmetric (``bx - ax`` is exactly ``-(ax - bx)``), so
+        this is the upper half of :meth:`candidates`. ``gain`` is the float
+        ``link_gain_db`` gives either direction, from an unmemoised draw.
+        """
+        pos = self.index._positions
+        pair_gain_db = self.propagation.pair_gain_db
+        for a, pos_a in enumerate(pos):
+            cand = self.candidates(a)
+            for b in cand[bisect.bisect_right(cand, a):]:
+                yield a, b, pair_gain_db(a, b, pos_a, pos[b])
+
     def link_gain(self, a: int, b: int) -> Optional[float]:
         """Exact gain for a pair inside the culling radius, else None."""
         pos = self.index._positions
-        pos_a, pos_b = pos[a], pos[b]
-        if (pos_b[0] - pos_a[0]) ** 2 + (pos_b[1] - pos_a[1]) ** 2 > self._r2:
-            return None
-        return self.propagation.link_gain_db(a, b, pos_a, pos_b)
+        (ax, ay), (bx, by) = pos[a], pos[b]
+        dx = bx - ax
+        dy = by - ay
+        if dx * dx + dy * dy <= self._r2:
+            return self.propagation.link_gain_db(a, b, pos[a], pos[b])
+        return None
 
-
-def sparse_gain_matrix(
-    propagation: LogDistancePathLoss,
-    positions: Sequence[Position],
-    max_tx_power_dbm: float = 0.0,
-    interference_floor_dbm: float = -110.0,
-    shadow_sigma_multiple: float = DEFAULT_SHADOW_SIGMA_MULTIPLE,
-    extra_margin_db: float = 0.0,
-) -> Tuple[Dict[Tuple[int, int], float], GridIndex]:
-    """Link gains for every pair inside the interference range, via the grid.
-
-    Returns ``(gains, index)``. For each computed ordered pair the gain is
-    the exact float the dense :meth:`LogDistancePathLoss.gain_matrix` would
-    produce (same scalar ``math.dist`` + shadowing calls); per-source entries
-    are inserted in ascending neighbour order, matching the dense builder's
-    iteration order, so a :class:`~repro.radio.channel.Channel` built on the
-    sparse map derives identical audible-neighbour lists.
-    """
-    spatial = SpatialChannel(
-        positions,
-        propagation,
-        # Fold tx power and the extra margin into the gain floor: a pair
-        # matters iff gain ≥ floor − max_tx − extra, the same budget
-        # interference_range_m(max_tx, floor, ..., extra) solves for.
-        cull_floor_dbm=interference_floor_dbm - max_tx_power_dbm - extra_margin_db,
-        shadow_sigma_multiple=shadow_sigma_multiple,
-    )
-    gains: Dict[Tuple[int, int], float] = {}
-    link_gain_db = propagation.link_gain_db
-    pos = spatial.index._positions
-    for a, pos_a in enumerate(pos):
-        for b in spatial.candidates(a):
-            gains[(a, b)] = link_gain_db(a, b, pos_a, pos[b])
-    return gains, spatial.index

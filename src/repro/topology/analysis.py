@@ -9,7 +9,7 @@ and which nodes are stranded. The city-scale generators use
 from __future__ import annotations
 
 from collections import deque
-from typing import Dict, List, Optional
+from typing import Dict, Iterable, List, Optional, Tuple
 
 from repro.radio.profiles import RadioProfile, get_radio_profile
 from repro.topology.deployments import Deployment
@@ -32,29 +32,30 @@ def link_graph(
     if profile is None:
         profile = get_radio_profile(None)
     graph: Dict[int, List[int]] = {node: [] for node in range(deployment.size)}
+    pairs: Iterable[Tuple[int, int, float]]
     if deployment.size > 512:
         # City scale: all-pairs gains are O(N²) memory. Links below the radio
-        # sensitivity can never carry a usable PRR, so build only the pairs
+        # sensitivity can never carry a usable PRR, so price only the pairs
         # that could clear it (grid-hash culling with the standard shadowing
-        # margin) — the resulting graph is identical.
-        from repro.radio.spatial import sparse_gain_matrix
+        # margin), each once — the resulting graph is identical.
+        from repro.radio.spatial import SpatialChannel
 
         max_tx = max(
             [deployment.tx_power_dbm, *deployment.tx_power_overrides.values()]
         )
-        gains, _ = sparse_gain_matrix(
-            deployment.propagation,
+        pairs = SpatialChannel(
             deployment.positions,
-            max_tx_power_dbm=max_tx,
-            interference_floor_dbm=profile.sensitivity_dbm,
-        )
+            deployment.propagation,
+            cull_floor_dbm=profile.sensitivity_dbm - max_tx,
+        ).pair_gains()
     else:
-        gains = deployment.gains()
-    for (a, b), gain in gains.items():
-        if a >= b:
-            continue
+        pairs = (
+            (a, b, gain) for (a, b), gain in deployment.gains().items() if a < b
+        )
+    # Gains are symmetric, so one float prices both directions.
+    for a, b, gain in pairs:
         power_ab = deployment.node_tx_power(a) + gain
-        power_ba = deployment.node_tx_power(b) + gains[(b, a)]
+        power_ba = deployment.node_tx_power(b) + gain
         rx = min(power_ab, power_ba)
         if rx < profile.sensitivity_dbm:
             continue

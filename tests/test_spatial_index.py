@@ -5,10 +5,14 @@ The contracts held here (see docs/performance.md, "Spatial index"):
 - grid range queries return a **superset** of the true disc, exactly
   refined by the caller;
 - the candidate set is a superset of every receiver that can clear the
-  interference floor, shadowing margin included;
-- sparse gains are bit-identical to the dense matrix's floats for every
-  pair both materialise, and the sparse map misses no pair the channel
-  could ever hear;
+  interference floor, shadowing margin included, and candidacy is
+  symmetric: the one-pass builders visit each unordered pair once;
+- the builders that price each unordered pair once (``gain_matrix``, the
+  spatial channel's audible rows, the city-scale ``link_graph``) give
+  exactly what one ``link_gain_db`` call per ordered pair gives, and the
+  spatial channel misses no pair it could ever hear;
+- a spatial build keeps no shadowing draws; only single-pair queries
+  (mobility, on-demand gains) memoise theirs;
 - a Channel built on a SpatialChannel derives the same audible rows and
   rx-power maps as one built on the dense O(N²) matrix;
 - mobility (``move_node``) and dense gain patches (``update_link_gains``)
@@ -22,9 +26,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.experiments.harness import Network
+from repro.experiments.scale import scale_config
 from repro.radio.channel import Channel
 from repro.radio.frame import Frame, FrameType
 from repro.radio.noise import ConstantNoise
+from repro.radio.profiles import get_radio_profile
 from repro.radio.propagation import LogDistancePathLoss
 from repro.radio.radio import Radio
 from repro.radio.spatial import (
@@ -32,9 +39,10 @@ from repro.radio.spatial import (
     SpatialChannel,
     SpatialIndexParams,
     interference_range_m,
-    sparse_gain_matrix,
 )
 from repro.sim import Simulator
+from repro.topology import forest
+from repro.topology.analysis import link_graph
 
 # Coordinates use a bounded grid so hypothesis explores collisions and
 # cell-boundary cases (multiples of typical cell sizes) aggressively.
@@ -42,6 +50,20 @@ coord = st.floats(
     min_value=-400.0, max_value=400.0, allow_nan=False, allow_infinity=False
 )
 positions_strategy = st.lists(st.tuples(coord, coord), min_size=1, max_size=60)
+
+
+def reference_gains(model, positions):
+    """One ``link_gain_db`` call per ordered pair, in row-major order.
+
+    The construction the one-pass builders replaced; ``model`` should be
+    fresh, so that nothing it memoised came from the code under test.
+    """
+    return {
+        (a, b): model.link_gain_db(a, b, pos_a, pos_b)
+        for a, pos_a in enumerate(positions)
+        for b, pos_b in enumerate(positions)
+        if a != b
+    }
 
 
 def brute_force_disc(positions, center, radius):
@@ -123,18 +145,48 @@ class TestCullingSuperset:
     )
     @settings(max_examples=40, deadline=None)
     def test_sparse_gains_bit_identical_to_dense(self, positions, seed):
-        propagation = LogDistancePathLoss(pl_d0=40.0, seed=seed, shadowing_sigma=3.2)
-        dense = propagation.gain_matrix(positions)
-        sparse, _ = sparse_gain_matrix(
-            propagation, positions, interference_floor_dbm=-110.0
+        reference = reference_gains(
+            LogDistancePathLoss(pl_d0=40.0, seed=seed, shadowing_sigma=3.2), positions
         )
+        sparse = Channel(
+            Simulator(seed=seed),
+            noise_model=ConstantNoise(),
+            spatial=SpatialChannel(
+                positions,
+                LogDistancePathLoss(pl_d0=40.0, seed=seed, shadowing_sigma=3.2),
+                cull_floor_dbm=-110.0,
+            ),
+        ).gains
         # Bit-identical floats wherever both materialise a pair…
         for key, gain in sparse.items():
-            assert gain == dense[key]
+            assert gain == reference[key]
         # …and nothing audible is missing (6σ margin over the -110 floor).
-        for key, gain in dense.items():
+        for key, gain in reference.items():
             if gain >= -110.0 + 3.0:
                 assert key in sparse
+
+    @given(
+        positions=st.lists(st.tuples(coord, coord), min_size=2, max_size=40),
+        seed=st.integers(min_value=0, max_value=2**16),
+        sigma=st.sampled_from([0.0, 3.2]),
+        floor=st.floats(min_value=-120.0, max_value=-80.0, allow_nan=False),
+    )
+    @settings(max_examples=60, deadline=None)
+    def test_candidacy_symmetric_and_matches_link_gain(
+        self, positions, seed, sigma, floor
+    ):
+        spatial = SpatialChannel(
+            positions,
+            LogDistancePathLoss(pl_d0=40.0, seed=seed, shadowing_sigma=sigma),
+            cull_floor_dbm=floor,
+        )
+        candidates = [set(spatial.candidates(a)) for a in range(len(positions))]
+        for a, row in enumerate(candidates):
+            for b in range(len(positions)):
+                if a == b:
+                    continue
+                assert (b in row) == (a in candidates[b]), (a, b)
+                assert (spatial.link_gain(a, b) is not None) == (b in row), (a, b)
 
     def test_interference_range_monotone_in_floor(self):
         propagation = LogDistancePathLoss(pl_d0=40.0, seed=1, shadowing_sigma=3.2)
@@ -143,6 +195,78 @@ class TestCullingSuperset:
             for floor in (-90.0, -100.0, -110.0)
         ]
         assert ranges == sorted(ranges), "lower floor must mean larger radius"
+
+
+class TestSinglePairReference:
+    """Builders that price each unordered pair once equal the per-pair API."""
+
+    @given(
+        positions=st.lists(st.tuples(coord, coord), min_size=2, max_size=40),
+        seed=st.integers(min_value=0, max_value=2**16),
+        sigma=st.sampled_from([0.0, 3.2]),
+    )
+    @settings(max_examples=80, deadline=None)
+    def test_builders_match_reference(self, positions, seed, sigma):
+        def model():
+            return LogDistancePathLoss(pl_d0=40.0, seed=seed, shadowing_sigma=sigma)
+
+        reference = reference_gains(model(), positions)
+        assert list(model().gain_matrix(positions).items()) == list(
+            reference.items()
+        )
+        channel = Channel(
+            Simulator(seed=seed),
+            noise_model=ConstantNoise(),
+            spatial=SpatialChannel(positions, model(), cull_floor_dbm=-110.0),
+        )
+        rows, gains = {}, {}
+        for a in range(len(positions)):
+            for b in channel._spatial.candidates(a):
+                gain = reference[(a, b)]
+                if gain >= channel._audible_floor:
+                    rows.setdefault(a, []).append((b, gain, (min(a, b), max(a, b))))
+                    gains[(a, b)] = gain
+        assert list(channel._audible.items()) == list(rows.items())
+        assert channel.gains == gains
+
+    def test_city_scale_link_graph_matches_reference(self):
+        deployment = forest(n=600, seed=1)
+        profile = get_radio_profile(None)
+        model = LogDistancePathLoss(**deployment.propagation.to_dict())
+        positions = deployment.positions
+        expected = {node: [] for node in range(deployment.size)}
+        # Every pair, not only those inside the culling radius: the sparse
+        # graph must lose no link the whole field could carry.
+        for a, pos_a in enumerate(positions):
+            for b in range(a + 1, len(positions)):
+                rx = min(
+                    deployment.node_tx_power(a)
+                    + model.link_gain_db(a, b, pos_a, positions[b]),
+                    deployment.node_tx_power(b)
+                    + model.link_gain_db(b, a, positions[b], pos_a),
+                )
+                if rx < profile.sensitivity_dbm:
+                    continue
+                if profile.prr(rx - profile.noise_floor_dbm, 40) >= 0.5:
+                    expected[a].append(b)
+                    expected[b].append(a)
+        assert link_graph(deployment) == expected
+
+
+class TestShadowingMemo:
+    """City-scale builds keep no per-pair draws; single-pair queries do."""
+
+    def test_spatial_build_memoises_nothing_and_a_move_only_its_pairs(self):
+        net = Network(scale_config("forest", 600, 1))
+        memo = net.deployment.propagation._shadowing
+        assert memo == {}, f"the build left {len(memo)} shadowing draws behind"
+        node = 7
+        x, y = net.deployment.positions[node]
+        net.channel.move_node(node, (x + 3.0, y - 2.0))
+        spatial = net.channel._spatial
+        assert set(memo) == {
+            (min(node, b), max(node, b)) for b in spatial.candidates(node)
+        }
 
 
 def build_pair_of_channels(positions, seed, fading=0.0):
