@@ -1,54 +1,66 @@
 """Shared fixtures for the per-figure/table benchmarks.
 
-The testbed-comparison figures (7–10) and Table III slice the *same* runs,
-so runs are cached per (variant, channel, seed) for the whole benchmark
-session. Code-construction runs (Figure 6, Table II) are cached per
-topology. Benchmarks print the paper-style rows so the regenerated
-table/figure data is visible in the benchmark log.
+The benchmarks read the cells ``python -m repro run <grid>`` runs: the same
+spec builders, the paper-figure schedule, and one session
+:class:`~repro.runner.ParallelRunner` over a result cache. The
+testbed-comparison figures (7–10) and Table III slice the *same* cells, and
+the Figure 6 benchmarks share theirs, so each cell simulates once per
+session. The cache lives in a session temp directory: every session starts
+cold, so a stale entry never hides a change. Benchmarks print the
+paper-style rows so the regenerated table/figure data is visible in the
+benchmark log.
 """
 
 from __future__ import annotations
 
-from functools import lru_cache
+from typing import Any, Dict
 
 import pytest
 
-from repro.experiments.codestats import code_construction_run
-from repro.experiments.comparison import ComparisonResult, run_comparison
+from repro.experiments.comparison import FIGURE_SCHEDULE, ComparisonResult
+from repro.metrics.io import comparison_from_dict
+from repro.runner import (
+    ParallelRunner,
+    ResultCache,
+    TaskSpec,
+    comparison_spec,
+    construction_spec,
+)
 
-#: Kept modest so the whole benchmark suite stays in the minutes range; raise
-#: for tighter confidence intervals.
-N_CONTROLS = 25
-CONTROL_INTERVAL_S = 60.0
-CONVERGE_SECONDS = 240.0
 SEED = 1
 
 
-@lru_cache(maxsize=None)
-def comparison(variant: str, channel: int, seed: int = SEED) -> ComparisonResult:
-    return run_comparison(
-        variant,
-        zigbee_channel=channel,
-        seed=seed,
-        n_controls=N_CONTROLS,
-        control_interval_s=CONTROL_INTERVAL_S,
-        converge_seconds=CONVERGE_SECONDS,
-    )
-
-
-@lru_cache(maxsize=None)
-def construction(topology: str, seed: int = SEED):
-    max_seconds = 400.0 if topology != "indoor-testbed" else 240.0
-    return code_construction_run(topology=topology, seed=seed, max_seconds=max_seconds)
+def comparison_cell(variant: str, channel: int, seed: int = SEED) -> TaskSpec:
+    """One Figure 7–10 / Table III cell, as ``repro run`` builds it."""
+    return comparison_spec(variant, zigbee_channel=channel, seed=seed, **FIGURE_SCHEDULE)
 
 
 @pytest.fixture(scope="session")
-def get_comparison():
+def runner(tmp_path_factory) -> ParallelRunner:
+    return ParallelRunner(jobs=1, cache=ResultCache(tmp_path_factory.mktemp("repro-cache")))
+
+
+def _result(runner: ParallelRunner, spec: TaskSpec) -> Dict[str, Any]:
+    (outcome,) = runner.run([spec])
+    assert outcome.result is not None, outcome.error
+    return outcome.result
+
+
+@pytest.fixture(scope="session")
+def get_comparison(runner):
+    def comparison(variant: str, channel: int, seed: int = SEED) -> ComparisonResult:
+        return comparison_from_dict(_result(runner, comparison_cell(variant, channel, seed)))
+
     return comparison
 
 
 @pytest.fixture(scope="session")
-def get_construction():
+def get_construction(runner):
+    """A construction cell's JSON: the Figure 6 / Table II statistics."""
+
+    def construction(topology: str, seed: int = SEED) -> Dict[str, Any]:
+        return _result(runner, construction_spec(topology, seed))
+
     return construction
 
 

@@ -7,14 +7,13 @@ Paper's claims to reproduce:
   from density alone (bit space wasted on reserve positions per hop).
 """
 
-from repro.experiments.codestats import code_length_by_hop
 from repro.metrics.stats import mean
 
 from .conftest import print_rows
 
 
-def _rows(net):
-    by_hop = code_length_by_hop(net)
+def _rows(stats):
+    by_hop = dict(stats["code_length_by_hop"])
     return [
         (hop, round(mean(lengths), 2), min(lengths), max(lengths))
         for hop, lengths in by_hop.items()
@@ -23,10 +22,10 @@ def _rows(net):
 
 
 def test_fig6a_tight_grid(benchmark, get_construction):
-    net = benchmark.pedantic(
+    stats = benchmark.pedantic(
         lambda: get_construction("tight-grid"), rounds=1, iterations=1
     )
-    rows, by_hop = _rows(net)
+    rows, by_hop = _rows(stats)
     print_rows("Fig 6(a) Tight-grid: hop, avg/min/max code bits", rows)
     avg_by_hop = {r[0]: r[1] for r in rows}
     # Roughly linear growth: each extra hop adds a few bits; allow noise in
@@ -41,10 +40,10 @@ def test_fig6a_tight_grid(benchmark, get_construction):
 
 
 def test_fig6a_sparse_linear(benchmark, get_construction):
-    net = benchmark.pedantic(
+    stats = benchmark.pedantic(
         lambda: get_construction("sparse-linear"), rounds=1, iterations=1
     )
-    rows, by_hop = _rows(net)
+    rows, by_hop = _rows(stats)
     print_rows("Fig 6(a) Sparse-linear: hop, avg/min/max code bits", rows)
     avg_by_hop = {r[0]: r[1] for r in rows}
     hops = sorted(h for h in avg_by_hop if h >= 1)

@@ -6,7 +6,6 @@ the maximum code length; Sparse-linear has small per-node child counts but
 many more hops.
 """
 
-from repro.experiments.codestats import children_by_hop
 from repro.metrics.stats import mean
 
 from .conftest import print_rows
@@ -17,8 +16,8 @@ def test_fig6b_children_distribution(benchmark, get_construction):
     sparse = benchmark.pedantic(
         lambda: get_construction("sparse-linear"), rounds=1, iterations=1
     )
-    tight_children = children_by_hop(tight)
-    sparse_children = children_by_hop(sparse)
+    tight_children = dict(tight["children_by_hop"])
+    sparse_children = dict(sparse["children_by_hop"])
     rows = [
         ("tight", hop, round(mean(counts), 2), max(counts))
         for hop, counts in tight_children.items()

@@ -4,14 +4,13 @@ Paper's claims: after the routing-found trigger, nodes obtain their code
 within 20 beacon rounds (512 ms each) in both fields, and most within 10.
 """
 
-from repro.experiments.codestats import convergence_beacons
 from repro.metrics.stats import percentile
 
 from .conftest import print_rows
 
 
-def _summarise(net, label):
-    beacons = convergence_beacons(net)
+def _summarise(stats, label):
+    beacons = stats["convergence_beacons"]
     return beacons, (
         label,
         f"n={len(beacons)}",

@@ -5,7 +5,7 @@ tracks the CTP routing path — the ratio of average reverse hops to average
 CTP hops is ≈ 1.08.
 """
 
-from repro.experiments.codestats import mean_reverse_ratio, reverse_hop_counts
+from repro.experiments.codestats import mean_reverse_ratio
 
 from .conftest import print_rows
 
@@ -16,8 +16,8 @@ def test_fig6d_reverse_vs_ctp_hops(benchmark, get_construction):
     )
     sparse = get_construction("sparse-linear")
     rows = []
-    for label, net in (("tight-grid", tight), ("sparse-linear", sparse)):
-        samples = reverse_hop_counts(net)
+    for label, stats in (("tight-grid", tight), ("sparse-linear", sparse)):
+        samples = stats["reverse_hops"]
         ratio = mean_reverse_ratio(samples)
         rows.append((label, f"n={len(samples)}", f"reverse/ctp ratio={ratio:.3f}"))
         assert samples, f"{label}: no allocation chains"

@@ -4,9 +4,10 @@ Kept to two seeds and one channel so the bench suite stays tractable; the
 full methodology is ``run_comparison_multi(seeds=range(1, 6))``.
 """
 
+from repro.experiments.comparison import FIGURE_SCHEDULE
 from repro.experiments.sweep import run_comparison_multi
 
-from .conftest import CONTROL_INTERVAL_S, CONVERGE_SECONDS, N_CONTROLS, print_rows
+from .conftest import print_rows
 
 
 def test_multiseed_headline(benchmark):
@@ -16,9 +17,7 @@ def test_multiseed_headline(benchmark):
                 variant,
                 zigbee_channel=26,
                 seeds=(1, 2),
-                n_controls=N_CONTROLS,
-                control_interval_s=CONTROL_INTERVAL_S,
-                converge_seconds=CONVERGE_SECONDS,
+                **FIGURE_SCHEDULE,
             )
             for variant in ("tele", "rpl")
         }

@@ -4,7 +4,6 @@ Paper's measurements: average code length 4.23 bits at 1 hop growing to
 15.8 bits at 6 hops; maximum 20 bits over the whole network.
 """
 
-from repro.experiments.codestats import code_length_by_hop
 from repro.metrics.stats import mean
 
 from .conftest import print_rows
@@ -13,10 +12,10 @@ PAPER_AVG = {1: 4.23, 2: 7.06, 3: 9.41, 4: 11.28, 5: 13.83, 6: 15.8}
 
 
 def test_table2_indoor_code_lengths(benchmark, get_construction):
-    net = benchmark.pedantic(
+    stats = benchmark.pedantic(
         lambda: get_construction("indoor-testbed"), rounds=1, iterations=1
     )
-    by_hop = code_length_by_hop(net)
+    by_hop = dict(stats["code_length_by_hop"])
     rows = [
         (
             f"{hop} hops",

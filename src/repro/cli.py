@@ -2,37 +2,30 @@
 
 Examples::
 
-    python -m repro table2                # indoor code lengths
-    python -m repro fig6a --topology sparse-linear
-    python -m repro fig7 --channel 19 --controls 20
-    python -m repro table3 --seed 2
+    python -m repro run table2                   # indoor code lengths
+    python -m repro run fig6a --seeds 1 2 3      # Figure 6(a), both fields
+    python -m repro run fig7 --channels 19 --controls 20
+    python -m repro run table3 --seeds 2
     python -m repro quickstart --destination 7
-    python -m repro compare --csv out.csv
+    python -m repro all --out results --seeds 1 2 3 4 5
 
-Every experiment command accepts ``--seed`` and prints an ASCII table;
-``--csv PATH`` additionally writes machine-readable output.
+``run <grid>`` runs one figure's cells through the result cache and
+prints their status, then the figure; ``--csv PATH`` writes the figure's
+rows. ``all`` runs every figure grid into a directory.
 """
 
 from __future__ import annotations
 
 import argparse
+import json
 import os
 import sys
-from typing import Dict, List, Optional
+from pathlib import Path
+from typing import List, Optional
 
 from repro.experiments import report
-from repro.experiments.codestats import (
-    code_construction_run,
-    code_length_by_hop,
-    children_by_hop,
-    convergence_beacons,
-    mean_reverse_ratio,
-    reverse_hop_counts,
-)
-from repro.experiments.comparison import ComparisonResult, run_comparison
-from repro.experiments.registry import GRIDS
+from repro.experiments.registry import CONSTRUCTION_FIGURES, GRIDS
 from repro.faults import CHAOS_SCENARIOS
-from repro.metrics.stats import mean, percentile
 from repro.protocols import variant_names
 
 #: Exit-code contract for grid commands (documented in docs/operations.md):
@@ -42,13 +35,6 @@ from repro.protocols import variant_names
 EXIT_OK = 0
 EXIT_FAILED = 1
 EXIT_INTERRUPTED = 3
-
-
-def _positive_int(text: str) -> int:
-    value = int(text)
-    if value < 1:
-        raise argparse.ArgumentTypeError(f"must be >= 1, got {value}")
-    return value
 
 
 def _job_count(text: str) -> int:
@@ -64,233 +50,6 @@ def _write_csv(path: Optional[str], headers, rows) -> None:
     with open(path, "w") as handle:
         handle.write(report.csv_table(headers, rows))
     print(f"(csv written to {path})")
-
-
-def _cmd_code_lengths(args: argparse.Namespace) -> int:
-    net = code_construction_run(topology=args.topology, seed=args.seed)
-    by_hop = code_length_by_hop(net)
-    rows = report.code_length_rows(by_hop)
-    print(
-        report.ascii_table(
-            report.CODE_LENGTH_HEADERS,
-            rows,
-            title=f"Path-code length by hop — {args.topology} (seed {args.seed})",
-        )
-    )
-    _write_csv(args.csv, report.CODE_LENGTH_HEADERS, rows)
-    return 0
-
-
-def _cmd_fig6b(args: argparse.Namespace) -> int:
-    net = code_construction_run(topology=args.topology, seed=args.seed)
-    grouped = children_by_hop(net)
-    headers = ["hop", "n", "avg_children", "max_children"]
-    rows = [
-        [hop, len(counts), f"{mean(counts):.2f}", max(counts)]
-        for hop, counts in sorted(grouped.items())
-        if hop < 10**4
-    ]
-    print(report.ascii_table(headers, rows, title=f"Children by hop — {args.topology}"))
-    _write_csv(args.csv, headers, rows)
-    return 0
-
-
-def _cmd_fig6c(args: argparse.Namespace) -> int:
-    net = code_construction_run(topology=args.topology, seed=args.seed)
-    beacons = convergence_beacons(net)
-    headers = ["metric", "beacons (512 ms each)"]
-    rows = [
-        ["n", len(beacons)],
-        ["median", f"{percentile(beacons, 50):.1f}"],
-        ["p90", f"{percentile(beacons, 90):.1f}"],
-        ["max", f"{max(beacons):.1f}"],
-    ]
-    print(report.ascii_table(headers, rows, title=f"Convergence — {args.topology}"))
-    _write_csv(args.csv, headers, rows)
-    return 0
-
-
-def _cmd_fig6d(args: argparse.Namespace) -> int:
-    net = code_construction_run(topology=args.topology, seed=args.seed)
-    samples = reverse_hop_counts(net)
-    ratio = mean_reverse_ratio(samples)
-    headers = ["ctp_hops", "reverse_hops"]
-    rows = sorted(samples)
-    print(
-        report.ascii_table(
-            headers,
-            rows[:30] + ([["…", "…"]] if len(rows) > 30 else []),
-            title=(
-                f"Reverse vs CTP hop count — {args.topology} "
-                f"(avg ratio {ratio:.3f}; paper ≈ 1.08)"
-            ),
-        )
-    )
-    _write_csv(args.csv, headers, rows)
-    return 0
-
-
-def _run_matrix(args: argparse.Namespace, variants, channels) -> Dict[tuple, ComparisonResult]:
-    results: Dict[tuple, ComparisonResult] = {}
-    for channel in channels:
-        for variant in variants:
-            print(f"running {variant} on channel {channel}…", file=sys.stderr)
-            results[(variant, channel)] = run_comparison(
-                variant,
-                zigbee_channel=channel,
-                seed=args.seed,
-                n_controls=args.controls,
-                control_interval_s=args.interval,
-            )
-    return results
-
-
-def _cmd_fig7(args: argparse.Namespace) -> int:
-    variants = ("drip", "re-tele", "tele", "rpl")
-    results = _run_matrix(args, variants, [args.channel])
-    flat = {variant: results[(variant, args.channel)] for variant in variants}
-    headers = ["protocol", "hop", "pdr"]
-    rows = report.pdr_by_hop_rows(flat)
-    print(
-        report.ascii_table(
-            headers, rows, title=f"Figure 7: PDR by hop, channel {args.channel}"
-        )
-    )
-    _write_csv(args.csv, headers, rows)
-    return 0
-
-
-def _cmd_fig8(args: argparse.Namespace) -> int:
-    results = _run_matrix(args, ("tele", "rpl"), [args.channel])
-    flat = {v: results[(v, args.channel)] for v in ("tele", "rpl")}
-    headers = ["protocol", "ctp_hops", "athx"]
-    rows = report.athx_rows(flat)
-    print(
-        report.ascii_table(
-            headers, rows, title=f"Figure 8: ATHX vs CTP hops, channel {args.channel}"
-        )
-    )
-    _write_csv(args.csv, headers, rows)
-    return 0
-
-
-def _cmd_fig10(args: argparse.Namespace) -> int:
-    variants = ("drip", "tele", "rpl")
-    results = _run_matrix(args, variants, [args.channel])
-    flat = {v: results[(v, args.channel)] for v in variants}
-    headers = ["protocol", "hop", "latency_s"]
-    rows = report.latency_by_hop_rows(flat)
-    print(
-        report.ascii_table(
-            headers, rows, title=f"Figure 10: latency by hop, channel {args.channel}"
-        )
-    )
-    _write_csv(args.csv, headers, rows)
-    return 0
-
-
-def _cmd_compare(args: argparse.Namespace) -> int:
-    variants = tuple(args.variants)
-    results = _run_matrix(args, variants, args.channels)
-    rows = report.comparison_rows(results)
-    print(
-        report.ascii_table(
-            report.COMPARISON_HEADERS,
-            rows,
-            title="Protocol comparison (Table III / Figures 7, 9, 10 summary)",
-        )
-    )
-    _write_csv(args.csv, report.COMPARISON_HEADERS, rows)
-    return 0
-
-
-def _cmd_all(args: argparse.Namespace) -> int:
-    """Regenerate every paper experiment into a directory of CSV files."""
-    from pathlib import Path
-
-    from repro.experiments.codestats import children_by_hop
-    from repro.metrics.io import save_results
-
-    out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
-
-    # --- construction experiments (Fig 6, Table II) ------------------------
-    for topology, tag in (
-        ("tight-grid", "fig6a_tight"),
-        ("sparse-linear", "fig6a_sparse"),
-        ("indoor-testbed", "table2_indoor"),
-    ):
-        print(f"construction: {topology}…", file=sys.stderr)
-        net = code_construction_run(topology=topology, seed=args.seed)
-        rows = report.code_length_rows(code_length_by_hop(net))
-        (out / f"{tag}.csv").write_text(
-            report.csv_table(report.CODE_LENGTH_HEADERS, rows)
-        )
-        grouped = children_by_hop(net)
-        child_rows = [
-            [hop, len(counts), f"{mean(counts):.2f}", max(counts)]
-            for hop, counts in sorted(grouped.items())
-            if hop < 10**4
-        ]
-        (out / f"{tag}_children.csv").write_text(
-            report.csv_table(["hop", "n", "avg_children", "max_children"], child_rows)
-        )
-        beacons = convergence_beacons(net)
-        (out / f"{tag}_convergence.csv").write_text(
-            report.csv_table(
-                ["metric", "beacons"],
-                [
-                    ["n", len(beacons)],
-                    ["median", f"{percentile(beacons, 50):.2f}"],
-                    ["p90", f"{percentile(beacons, 90):.2f}"],
-                    ["max", f"{max(beacons):.2f}"],
-                ],
-            )
-        )
-        samples = reverse_hop_counts(net)
-        (out / f"{tag}_reverse_hops.csv").write_text(
-            report.csv_table(["ctp_hops", "reverse_hops"], sorted(samples))
-        )
-
-    # --- testbed comparison (Fig 7–10, Table III) ---------------------------
-    if not args.skip_comparison:
-        variants = ("tele", "re-tele", "rpl", "drip")
-        results = {}
-        runs = []
-        for channel in (26, 19):
-            for variant in variants:
-                print(f"comparison: {variant} ch{channel}…", file=sys.stderr)
-                result = run_comparison(
-                    variant,
-                    zigbee_channel=channel,
-                    seed=args.seed,
-                    n_controls=args.controls,
-                    control_interval_s=args.interval,
-                )
-                results[(variant, channel)] = result
-                runs.append(result)
-        (out / "table3_fig9_summary.csv").write_text(
-            report.csv_table(report.COMPARISON_HEADERS, report.comparison_rows(results))
-        )
-        for channel in (26, 19):
-            flat = {v: results[(v, channel)] for v in variants}
-            (out / f"fig7_pdr_ch{channel}.csv").write_text(
-                report.csv_table(["protocol", "hop", "pdr"], report.pdr_by_hop_rows(flat))
-            )
-            (out / f"fig10_latency_ch{channel}.csv").write_text(
-                report.csv_table(
-                    ["protocol", "hop", "latency_s"], report.latency_by_hop_rows(flat)
-                )
-            )
-        (out / "fig8_athx_ch26.csv").write_text(
-            report.csv_table(
-                ["protocol", "ctp_hops", "athx"],
-                report.athx_rows({v: results[(v, 26)] for v in ("tele", "rpl")}),
-            )
-        )
-        save_results(runs, out / "comparison_runs.json")
-    print(f"wrote {len(list(out.iterdir()))} files to {out}")
-    return 0
 
 
 def _build_runner(args: argparse.Namespace):
@@ -333,12 +92,9 @@ def _finish_run(run_report) -> int:
     return EXIT_OK if run_report.failed == 0 else EXIT_FAILED
 
 
-def _cmd_run(args: argparse.Namespace) -> int:
-    """Run an experiment grid through the parallel execution engine."""
-    import json
-
+def _run_grid(runner, args: argparse.Namespace) -> int:
+    """Run one grid's cells, print its tables, write ``--csv``/``--out``."""
     experiment = GRIDS[args.grid]
-    runner = _build_runner(args)
     outcomes = runner.run(experiment.expand(args))
     headers, rows = experiment.render(args, outcomes)
     print()
@@ -350,6 +106,40 @@ def _cmd_run(args: argparse.Namespace) -> int:
             json.dump(results, handle, indent=2, sort_keys=True)
         print(f"(results written to {args.out})")
     return _finish_run(runner.last_report)
+
+
+def _cmd_run(args: argparse.Namespace) -> int:
+    """Run an experiment grid through the parallel execution engine."""
+    return _run_grid(_build_runner(args), args)
+
+
+def _cmd_all(args: argparse.Namespace) -> int:
+    """Run every paper grid through one runner and one cache.
+
+    Each grid writes ``<out>/<grid>.csv`` and ``<out>/<grid>.json``; the
+    comparison grids run on both channels and share one cell matrix.
+    """
+    out = Path(args.out)
+    out.mkdir(parents=True, exist_ok=True)
+    grids = list(CONSTRUCTION_FIGURES)
+    if not args.skip_comparison:
+        grids += ["fig7", "fig8", "fig10", "table3"]
+    parser = build_parser()
+    runner = None
+    status = EXIT_OK
+    for grid in grids:
+        grid_args = parser.parse_args(
+            [
+                "run", grid, "--seeds", *map(str, args.seeds), "--channels", "26", "19",
+                "--csv", str(out / f"{grid}.csv"), "--out", str(out / f"{grid}.json"),
+            ]
+        )
+        runner = runner or _build_runner(grid_args)
+        status = max(status, _run_grid(runner, grid_args))
+        if status == EXIT_INTERRUPTED:
+            break
+    print(f"wrote {len(list(out.iterdir()))} files to {out}")
+    return status
 
 
 def _cmd_quickstart(args: argparse.Namespace) -> int:
@@ -385,84 +175,15 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p, topology_default="tight-grid"):
-        """Attach the shared seed/csv/topology options."""
-        p.add_argument("--seed", type=int, default=1)
-        p.add_argument("--csv", type=str, default=None)
-        p.add_argument(
-            "--topology",
-            choices=("tight-grid", "sparse-linear", "indoor-testbed"),
-            default=topology_default,
-        )
-
-    def comparison_common(p):
-        """Attach the shared comparison-run options."""
-        p.add_argument("--seed", type=int, default=1)
-        p.add_argument("--csv", type=str, default=None)
-        p.add_argument("--controls", type=int, default=20)
-        p.add_argument("--interval", type=float, default=60.0)
-
-    p = sub.add_parser("fig6a", help="code length vs hop count")
-    common(p)
-    p.set_defaults(func=_cmd_code_lengths)
-
-    p = sub.add_parser("fig6b", help="children per hop")
-    common(p)
-    p.set_defaults(func=_cmd_fig6b)
-
-    p = sub.add_parser("fig6c", help="convergence rate")
-    common(p)
-    p.set_defaults(func=_cmd_fig6c)
-
-    p = sub.add_parser("fig6d", help="reverse vs CTP hop count")
-    common(p)
-    p.set_defaults(func=_cmd_fig6d)
-
-    p = sub.add_parser("table2", help="indoor testbed code lengths")
-    common(p, topology_default="indoor-testbed")
-    p.set_defaults(func=_cmd_code_lengths)
-
-    p = sub.add_parser("fig7", help="PDR by hop per protocol")
-    comparison_common(p)
-    p.add_argument("--channel", type=int, choices=(26, 19), default=26)
-    p.set_defaults(func=_cmd_fig7)
-
-    p = sub.add_parser("fig8", help="ATHX vs CTP hops")
-    comparison_common(p)
-    p.add_argument("--channel", type=int, choices=(26, 19), default=26)
-    p.set_defaults(func=_cmd_fig8)
-
-    p = sub.add_parser("fig10", help="latency by hop per protocol")
-    comparison_common(p)
-    p.add_argument("--channel", type=int, choices=(26, 19), default=26)
-    p.set_defaults(func=_cmd_fig10)
-
     p = sub.add_parser(
-        "compare", help="full matrix: Table III + Figure 9 summary"
-    )
-    comparison_common(p)
-    p.add_argument(
-        "--channels", type=int, nargs="+", choices=(26, 19), default=[26, 19]
-    )
-    p.add_argument(
-        "--variants",
-        nargs="+",
-        choices=tuple(variant_names()),
-        default=["tele", "re-tele", "rpl", "drip"],
-    )
-    p.set_defaults(func=_cmd_compare)
-
-    p = sub.add_parser(
-        "all", help="regenerate every paper experiment into CSV files"
+        "all", help="run every paper figure and table grid into CSV files"
     )
     p.add_argument("--out", type=str, default="results")
-    p.add_argument("--seed", type=int, default=1)
-    p.add_argument("--controls", type=int, default=25)
-    p.add_argument("--interval", type=float, default=60.0)
+    p.add_argument("--seeds", type=int, nargs="+", default=[1], help="one cell per seed")
     p.add_argument(
         "--skip-comparison",
         action="store_true",
-        help="only the fast construction experiments (Fig 6 / Table II)",
+        help="only the fast construction grids (Fig 6 / Table II)",
     )
     p.set_defaults(func=_cmd_all)
 
@@ -470,10 +191,11 @@ def build_parser() -> argparse.ArgumentParser:
         "run",
         help="run an experiment grid in parallel with result caching",
         description=(
-            "Execute a grid of comparison cells through repro.runner: "
-            "cells fan out over --jobs worker processes and unchanged cells "
-            "are answered from --cache-dir instead of re-simulated. The "
-            "'chaos' grid sweeps fault intensity under a --scenario preset."
+            "Execute a grid of cells through repro.runner: cells fan out "
+            "over --jobs worker processes and unchanged cells are answered "
+            "from --cache-dir instead of re-simulated. Each paper figure "
+            "and table is a grid that prints its figure; the 'chaos' grid "
+            "sweeps fault intensity under a --scenario preset."
         ),
     )
     p.add_argument("grid", choices=sorted(GRIDS))
@@ -490,7 +212,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p.add_argument(
         "--controls", type=int, default=None,
-        help="control packets per cell (default: 20; scale grid: 5)",
+        help="control packets per cell (default: 25; chaos grid: 20; scale grid: 5)",
     )
     p.add_argument(
         "--interval", type=float, default=None,

@@ -71,10 +71,6 @@ class Controller:
         """The neighbour's current code, or None."""
         return self._codes.get(node)
 
-    def known_nodes(self) -> List[int]:
-        """All nodes with a registered code."""
-        return list(self._codes)
-
     def decode_path(self, code: PathCode) -> List[Tuple[int, PathCode]]:
         """Reconstruct the relay sequence implicitly encoded in ``code``.
 

@@ -14,7 +14,7 @@ with the first (sink-side) bit in the most significant position of ``value``.
 
 from __future__ import annotations
 
-from typing import Iterator, Optional, Tuple
+from typing import Iterator
 
 
 class PathCode:
@@ -66,24 +66,6 @@ class PathCode:
                 f"position {position} does not fit in {space_bits} bits"
             )
         return PathCode((self.value << space_bits) | position, self.length + space_bits)
-
-    def widen_last(self, old_space: int, new_space: int) -> "PathCode":
-        """Re-encode the final ``old_space`` bits into ``new_space`` bits.
-
-        Space extension (paper §III-B6): the parent grows its bit space by one
-        bit; previously allocated positions keep their numeric value but are
-        now written wider, so every descendant's code shifts. The prefix above
-        the last ``old_space`` bits is unchanged.
-        """
-        if old_space <= 0 or new_space < old_space:
-            raise ValueError(f"invalid widening {old_space} -> {new_space}")
-        if self.length < old_space:
-            raise ValueError("code shorter than the space being widened")
-        prefix = self.value >> old_space
-        position = self.value & ((1 << old_space) - 1)
-        return PathCode(
-            (prefix << new_space) | position, self.length - old_space + new_space
-        )
 
     # ----------------------------------------------------------------- queries
     def is_prefix_of(self, other: "PathCode") -> bool:
@@ -141,19 +123,3 @@ class PathCode:
     def __repr__(self) -> str:
         return f"PathCode({str(self)})"
 
-
-def best_match(
-    target: PathCode, candidates: dict
-) -> Tuple[Optional[object], int]:
-    """Among ``candidates`` (key -> PathCode), the one whose code is the
-    longest *prefix* of ``target``. Returns ``(key, prefix_length)`` or
-    ``(None, -1)`` when no candidate's code is a prefix of the target.
-    """
-    best_key: Optional[object] = None
-    best_len = -1
-    for key, code in candidates.items():
-        if code is None:
-            continue
-        if code.is_prefix_of(target) and code.length > best_len:
-            best_key, best_len = key, code.length
-    return best_key, best_len

@@ -35,6 +35,16 @@ COMPARISON_DEFAULTS = {
     "drain_seconds": 60.0,
 }
 
+#: The schedule of every paper-figure cell (Figures 7–10, Table III): 25
+#: controls a minute apart after 240 s of convergence, then 60 s of drain.
+#: ``repro run``'s comparison grids, ``repro all`` and the benchmarks run it.
+FIGURE_SCHEDULE = {
+    "n_controls": 25,
+    "control_interval_s": 60.0,
+    "converge_seconds": 240.0,
+    "drain_seconds": 60.0,
+}
+
 
 @dataclass
 class ComparisonResult:

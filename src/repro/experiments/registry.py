@@ -22,8 +22,10 @@ resolves it on every call, so a monkeypatched driver is the one that runs.
 
 from __future__ import annotations
 
+import dataclasses
 import importlib
 import time
+from collections import defaultdict
 from dataclasses import dataclass
 from operator import itemgetter, methodcaller
 from typing import (
@@ -31,6 +33,7 @@ from typing import (
     Any,
     Callable,
     Dict,
+    Iterable,
     List,
     Mapping,
     Optional,
@@ -40,20 +43,30 @@ from typing import (
 
 from repro.experiments import report
 from repro.experiments.chaos import chaos_grid_specs
+from repro.experiments.codestats import construction_stats, mean_reverse_ratio
+from repro.experiments.comparison import FIGURE_SCHEDULE, ComparisonResult
 from repro.experiments.lora import lora_grid_specs
 from repro.experiments.report import fmt
 from repro.experiments.soak import soak_grid_rows
 from repro.experiments.sweep import AggregateMetric
+from repro.metrics.control import ControlMetrics
 from repro.metrics.io import comparison_from_dict, comparison_to_dict
+from repro.metrics.stats import mean, percentile
 from repro.runner import RunnerOutcome, TaskSpec
-from repro.runner.taskspec import comparison_spec, scale_spec, soak_spec
+from repro.runner.taskspec import (
+    comparison_spec,
+    construction_spec,
+    scale_spec,
+    soak_spec,
+)
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from argparse import Namespace
 
 Params = Mapping[str, Any]
 Row = List[object]
-#: Prints a grid's tables; returns the per-cell CSV headers and rows.
+#: Prints a grid's tables; returns its CSV headers and rows (a paper
+#: figure's rows, or one row per cell).
 Renderer = Callable[["Namespace", Sequence[RunnerOutcome]], Tuple[List[str], List[Row]]]
 
 
@@ -118,27 +131,25 @@ def _cli_schedule(args: "Namespace", **defaults: float) -> Dict[str, float]:
     return {**defaults, **{k: v for k, v in given.items() if v is not None}}
 
 
-#: Comparison grid name → the variants it covers. Channels default to the
-#: paper's clean channel (26) except the full matrix, which runs both.
-COMPARISON_GRIDS: Dict[str, Tuple[str, ...]] = {
-    "fig7": ("drip", "re-tele", "tele", "rpl"),
-    "fig8": ("tele", "rpl"),
-    "fig10": ("drip", "tele", "rpl"),
-    "table3": ("tele", "re-tele", "rpl", "drip"),
-    "compare": ("tele", "re-tele", "rpl", "drip"),
-}
+def _construction_specs(args: "Namespace") -> List[TaskSpec]:
+    return [
+        construction_spec(topology, seed)
+        for topology in CONSTRUCTION_FIGURES[args.grid].over
+        for seed in args.seeds
+    ]
 
 
 def _comparison_specs(args: "Namespace") -> List[TaskSpec]:
+    # Channels default to the paper's clean channel (26), except Table III's
+    # full matrix, which runs both.
     channels = args.channels
     if channels is None:
         channels = [26, 19] if args.grid in ("compare", "table3") else [26]
-    # The CLI's own default: 20 controls a minute apart.
-    schedule = _cli_schedule(args, n_controls=20, control_interval_s=60.0)
+    schedule = _cli_schedule(args, **FIGURE_SCHEDULE)
     return [
         comparison_spec(variant, zigbee_channel=channel, seed=seed, **schedule)
         for channel in channels
-        for variant in COMPARISON_GRIDS[args.grid]
+        for variant in COMPARISON_FIGURES[args.grid].over
         for seed in args.seeds
     ]
 
@@ -235,9 +246,151 @@ def _aggregate(
     ]
 
 
+@dataclass(frozen=True)
+class Figure:
+    """A paper figure's grid: its cells, and its table per channel or topology."""
+
+    #: The variants (comparison) or topologies (construction) it runs.
+    over: Tuple[str, ...]
+    headers: List[str]
+    #: Table title; ``{}`` takes the channel or topology.
+    title: str
+    #: (channel or topology, its cells' combined results) → the rows.
+    rows: Callable[[Any, Any], List[Row]]
+    #: Appended to the title: a summary of the combined results.
+    note: Optional[Callable[[Any], str]] = None
+    #: Rows printed per table; the CSV keeps every row.
+    shown: Optional[int] = None
+    #: Whether the CSV leads with the channel or topology (no when the rows
+    #: carry it already).
+    keyed: bool = True
+
+
+def _results_by(outcomes: Sequence[RunnerOutcome], param: str) -> Dict[Any, List[Dict[str, Any]]]:
+    """Finished cells' results grouped by one spec parameter, in cell order."""
+    groups: Dict[Any, List[Dict[str, Any]]] = {}
+    for outcome in outcomes:
+        if outcome.result is not None:
+            groups.setdefault(outcome.spec.params[param], []).append(outcome.result)
+    return groups
+
+
+def _render_figure(
+    figure: Figure, key: str, groups: Mapping[Any, Any], per_cell: str
+) -> Tuple[List[str], List[Row]]:
+    """Print the per-cell table, then one figure table per group; return the
+    figure's CSV headers and rows."""
+    tables = [per_cell]
+    csv_rows: List[Row] = []
+    for group, combined in groups.items():
+        rows = figure.rows(group, combined)
+        title = figure.title.format(group)
+        if figure.note is not None:
+            title += f" ({figure.note(combined)})"
+        shown = rows
+        if figure.shown is not None and len(rows) > figure.shown:
+            shown = rows[: figure.shown] + [["…"] * len(figure.headers)]
+        tables.append(report.ascii_table(figure.headers, shown, title=title))
+        csv_rows += [[group, *row] for row in rows] if figure.keyed else rows
+    print("\n\n".join(tables))
+    return ([key] if figure.keyed else []) + figure.headers, csv_rows
+
+
+def _average(values: Iterable[Optional[float]]) -> Optional[float]:
+    return mean([value for value in values if value is not None])
+
+
+def _average_by_hop(maps: Iterable[Dict[int, float]]) -> Dict[int, float]:
+    grouped: Dict[int, List[float]] = defaultdict(list)
+    for by_hop in maps:
+        for hop, value in by_hop.items():
+            grouped[hop].append(value)
+    return {hop: sum(values) / len(values) for hop, values in sorted(grouped.items())}
+
+
+def _merge_seeds(results: Sequence[ComparisonResult]) -> ComparisonResult:
+    """One variant's seeds as one result.
+
+    Ratios and means (PDR, latency, transmissions, duty cycle, and their
+    by-hop maps) are averaged over the seeds; distributions (the ATHX
+    samples and the control records) are pooled.
+    """
+    metrics = [r.control_metrics for r in results if r.control_metrics is not None]
+    pooled = None
+    if len(metrics) == len(results):
+        pooled = ControlMetrics()
+        for m in metrics:
+            pooled.records += m.records
+    return dataclasses.replace(
+        results[0],
+        pdr=_average(r.pdr for r in results),
+        pdr_by_hop=_average_by_hop(r.pdr_by_hop for r in results),
+        latency_by_hop=_average_by_hop(r.latency_by_hop for r in results),
+        mean_latency=_average(r.mean_latency for r in results),
+        tx_per_control=_average(r.tx_per_control for r in results),
+        duty_cycle=_average(r.duty_cycle for r in results),
+        athx_samples=[sample for r in results for sample in r.athx_samples],
+        control_metrics=pooled,
+    )
+
+
+def _by_variant(results: Sequence[Dict[str, Any]]) -> Dict[str, ComparisonResult]:
+    runs: Dict[str, List[ComparisonResult]] = {}
+    for result in results:
+        runs.setdefault(result["variant"], []).append(comparison_from_dict(result))
+    return {variant: _merge_seeds(seeds) for variant, seeds in runs.items()}
+
+
+def _athx_ratios(results: Dict[str, ComparisonResult]) -> str:
+    ratios = {v: r.control_metrics for v, r in sorted(results.items())}
+    return "mean ATHX/CTP hops: " + ", ".join(
+        f"{v} {fmt(None if m is None else m.mean_athx_ratio(), '.3f')}" for v, m in ratios.items()
+    )
+
+
+_TABLE3 = Figure(
+    ("tele", "re-tele", "rpl", "drip"),
+    report.COMPARISON_HEADERS,
+    "Table III / Figure 9: protocol summary, channel {}",
+    lambda ch, results: report.comparison_rows({(v, ch): r for v, r in results.items()}),
+    keyed=False,
+)
+#: Comparison grid → its figure (``compare`` is Table III's older name).
+COMPARISON_FIGURES: Dict[str, Figure] = {
+    "fig7": Figure(
+        ("drip", "re-tele", "tele", "rpl"),
+        ["protocol", "hop", "pdr"],
+        "Figure 7: PDR by hop, channel {}",
+        lambda ch, results: report.pdr_by_hop_rows(results),
+    ),
+    "fig8": Figure(
+        ("tele", "rpl"),
+        ["protocol", "ctp_hops", "athx"],
+        "Figure 8: ATHX vs CTP hops, channel {}",
+        lambda ch, results: report.athx_rows(results),
+        note=_athx_ratios,
+    ),
+    "fig10": Figure(
+        ("drip", "tele", "rpl"),
+        ["protocol", "hop", "latency_s"],
+        "Figure 10: latency by hop, channel {}",
+        lambda ch, results: report.latency_by_hop_rows(results),
+    ),
+    "table3": _TABLE3,
+    "compare": _TABLE3,
+}
+
+
 def _render_comparison(
     args: "Namespace", outcomes: Sequence[RunnerOutcome]
 ) -> Tuple[List[str], List[Row]]:
+    """The per-cell table, then the figure per channel.
+
+    Each variant's seeds are merged by :func:`_merge_seeds`: Figure 7's
+    PDR and Figure 10's latency by hop and Table III's columns are averaged
+    over the seeds; Figure 8's ATHX samples, and the mean ATHX/CTP-hop
+    ratio in its title, pool them.
+    """
     headers = ["variant", "ch", "seed", "status", "pdr", "tx/ctl", "duty%", "latency_s"]
     rows = _cells(
         outcomes,
@@ -245,22 +398,87 @@ def _render_comparison(
         lambda r: report.comparison_metrics(comparison_from_dict(r)),
         width=4,
     )
-    tables = [report.ascii_table(headers, rows, title=f"Grid {args.grid}: per-cell results")]
-    if len(args.seeds) > 1:
-        rows_by_seed = _aggregate(
-            outcomes,
-            lambda p: (p["variant"], p["zigbee_channel"]),
-            [itemgetter("pdr"), itemgetter("tx_per_control"), itemgetter("mean_latency")],
-        )
-        tables.append(
-            report.ascii_table(
-                ["variant", "ch", "pdr", "tx/ctl", "latency_s"],
-                rows_by_seed,
-                title=f"Grid {args.grid}: seed-averaged (n={len(args.seeds)})",
-            )
-        )
-    print("\n\n".join(tables))
-    return headers, rows
+    groups = _results_by(outcomes, "zigbee_channel")
+    return _render_figure(
+        COMPARISON_FIGURES[args.grid],
+        "channel",
+        {channel: _by_variant(results) for channel, results in groups.items()},
+        report.ascii_table(headers, rows, title=f"Grid {args.grid}: per-cell results"),
+    )
+
+
+def _concat(stats: Sequence[Dict[str, Any]], key: str) -> List[Any]:
+    return [item for one_seed in stats for item in one_seed[key]]
+
+
+def _pooled_by_hop(stats: Sequence[Dict[str, Any]], key: str) -> Dict[int, List[int]]:
+    pooled: Dict[int, List[int]] = defaultdict(list)
+    for hop, values in _concat(stats, key):
+        pooled[hop] += values
+    return pooled
+
+
+FIGURE_6_FIELDS = ("tight-grid", "sparse-linear")
+_CODE_LENGTHS = Figure(
+    FIGURE_6_FIELDS,
+    report.CODE_LENGTH_HEADERS,
+    "Path-code length by hop — {}",
+    lambda t, stats: report.code_length_rows(_pooled_by_hop(stats, "code_length_by_hop")),
+)
+#: Construction grid → its figure. The four Figure 6 grids share their two
+#: fields' cells, so one cache serves all four; Table II runs the indoor
+#: testbed.
+CONSTRUCTION_FIGURES: Dict[str, Figure] = {
+    "fig6a": _CODE_LENGTHS,
+    "fig6b": Figure(
+        FIGURE_6_FIELDS,
+        report.CHILDREN_HEADERS,
+        "Children by hop — {}",
+        lambda t, stats: report.children_rows(_pooled_by_hop(stats, "children_by_hop")),
+    ),
+    "fig6c": Figure(
+        FIGURE_6_FIELDS,
+        report.CONVERGENCE_HEADERS,
+        "Convergence — {}",
+        lambda t, stats: report.convergence_rows(_concat(stats, "convergence_beacons")),
+    ),
+    "fig6d": Figure(
+        FIGURE_6_FIELDS,
+        ["ctp_hops", "reverse_hops"],
+        "Reverse vs CTP hop count — {}",
+        lambda t, stats: sorted(_concat(stats, "reverse_hops")),
+        note=lambda stats: "avg ratio "
+        + fmt(mean_reverse_ratio(_concat(stats, "reverse_hops")), ".3f")
+        + "; paper ≈ 1.08",
+        shown=30,
+    ),
+    "table2": dataclasses.replace(_CODE_LENGTHS, over=("indoor-testbed",)),
+}
+
+
+def _construction_metrics(result: Dict[str, Any]) -> Row:
+    lengths = [n for _, values in result["code_length_by_hop"] for n in values]
+    return [
+        len(lengths),
+        max(lengths, default="n/a"),
+        fmt(percentile(result["convergence_beacons"], 50), ".1f"),
+    ]
+
+
+def _render_construction(
+    args: "Namespace", outcomes: Sequence[RunnerOutcome]
+) -> Tuple[List[str], List[Row]]:
+    """The per-cell table, then the figure per topology, seeds pooled: every
+    statistic, the Figure 6(d) ratio included, is taken over all the seeds'
+    nodes together."""
+    headers = ["topology", "seed", "status", "coded", "max_bits", "median_beacons"]
+    rows = _cells(outcomes, lambda p, r: [p["topology"], p["seed"]], _construction_metrics, width=3)
+    return _render_figure(
+        CONSTRUCTION_FIGURES[args.grid],
+        "topology",
+        _results_by(outcomes, "topology"),
+        report.ascii_table(headers, rows, title=f"Grid {args.grid}: per-cell results"),
+    )
 
 
 def _chaos_metrics(result: Dict[str, Any]) -> Row:
@@ -438,9 +656,19 @@ EXPERIMENTS: Dict[str, Experiment] = {
             driver="repro.experiments.comparison.run_comparison",
             sim_seconds=_scheduled_seconds,
             to_json=comparison_to_dict,
-            grids=tuple(COMPARISON_GRIDS),
+            grids=tuple(COMPARISON_FIGURES),
             expand=_comparison_specs,
             render=_render_comparison,
+        ),
+        # A cell converges for at most its topology's budget.
+        Experiment(
+            kind="construction",
+            driver="repro.experiments.codestats.code_construction_run",
+            sim_seconds=lambda p: p["schedule"]["max_seconds"],
+            to_json=construction_stats,
+            grids=tuple(CONSTRUCTION_FIGURES),
+            expand=_construction_specs,
+            render=_render_construction,
         ),
         Experiment(
             kind="chaos",

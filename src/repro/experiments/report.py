@@ -11,6 +11,7 @@ import io
 from typing import Dict, Iterable, List, Optional, Sequence
 
 from repro.experiments.comparison import ComparisonResult
+from repro.metrics.stats import percentile
 
 
 def ascii_table(
@@ -118,3 +119,28 @@ def code_length_rows(by_hop: Dict[int, List[int]]) -> List[List[object]]:
 
 
 CODE_LENGTH_HEADERS = ["hop", "n", "avg_bits", "min_bits", "max_bits"]
+
+
+def children_rows(by_hop: Dict[int, List[int]]) -> List[List[object]]:
+    """Figure 6(b) rows from a children-per-node grouping."""
+    return [
+        [hop, len(counts), f"{sum(counts) / len(counts):.2f}", max(counts)]
+        for hop, counts in sorted(by_hop.items())
+        if hop < 10**4
+    ]
+
+
+CHILDREN_HEADERS = ["hop", "n", "avg_children", "max_children"]
+
+
+def convergence_rows(beacons: List[float]) -> List[List[object]]:
+    """Figure 6(c) rows: nodes converged, and the beacon rounds they took."""
+    return [
+        ["n", len(beacons)],
+        ["median", fmt(percentile(beacons, 50), ".1f")],
+        ["p90", fmt(percentile(beacons, 90), ".1f")],
+        ["max", fmt(max(beacons, default=None), ".1f")],
+    ]
+
+
+CONVERGENCE_HEADERS = ["metric", "beacons (512 ms each)"]

@@ -13,7 +13,7 @@
 
 from repro.metrics.control import ControlMetrics, ControlRecord
 from repro.metrics.network import NetworkMetrics
-from repro.metrics.stats import mean, percentile, summarize
+from repro.metrics.stats import mean, percentile
 from repro.metrics.streaming import StreamingMetrics
 
 __all__ = [
@@ -23,5 +23,4 @@ __all__ = [
     "StreamingMetrics",
     "mean",
     "percentile",
-    "summarize",
 ]

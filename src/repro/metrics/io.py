@@ -11,9 +11,8 @@ from_dict`` round-trips are property-tested), which is what lets the
 from __future__ import annotations
 
 import json
-from dataclasses import asdict, is_dataclass
 from pathlib import Path
-from typing import Any, Dict, List, Union
+from typing import Any, Dict, Union
 
 from repro.experiments.comparison import ComparisonResult
 from repro.metrics.control import ControlMetrics, ControlRecord
@@ -104,22 +103,8 @@ def comparison_from_dict(data: Dict[str, Any]) -> ComparisonResult:
     )
 
 
-def save_results(
-    results: Union[ComparisonResult, List[ComparisonResult]],
-    path: Union[str, Path],
-) -> Path:
-    """Write one or many comparison results to a JSON file."""
-    if isinstance(results, ComparisonResult):
-        payload: Any = comparison_to_dict(results)
-    else:
-        payload = [comparison_to_dict(r) for r in results]
-    path = Path(path)
-    path.write_text(json.dumps(payload, indent=2, sort_keys=True))
-    return path
-
-
 def load_results(path: Union[str, Path], rehydrate: bool = False) -> Any:
-    """Read back what :func:`save_results` wrote.
+    """Read back a results file: ``repro run --out`` writes a list of cells.
 
     By default returns the plain dicts/lists as stored; with
     ``rehydrate=True`` the payload is converted back into

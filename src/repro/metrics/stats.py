@@ -2,7 +2,7 @@
 
 from __future__ import annotations
 
-from typing import Dict, Optional, Sequence
+from typing import Optional, Sequence
 
 
 def mean(values: Sequence[float]) -> Optional[float]:
@@ -27,14 +27,3 @@ def percentile(values: Sequence[float], q: float) -> Optional[float]:
     frac = rank - low
     return ordered[low] * (1.0 - frac) + ordered[high] * frac
 
-
-def summarize(values: Sequence[float]) -> Dict[str, Optional[float]]:
-    """Mean / min / max / median / p90 of a sample."""
-    return {
-        "n": float(len(values)),
-        "mean": mean(values),
-        "min": min(values) if values else None,
-        "max": max(values) if values else None,
-        "median": percentile(values, 50.0),
-        "p90": percentile(values, 90.0),
-    }

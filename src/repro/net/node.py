@@ -209,10 +209,5 @@ class NodeStack:
             return AnycastDecision.reject()
         return self._anycast_handler(frame, rssi)
 
-    # ------------------------------------------------------------------ stats
-    def total_transmissions(self) -> int:
-        """All logical transmissions (LPL trains) this node has made."""
-        return sum(self.tx_by_type.values())
-
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"NodeStack(node={self.node_id}, root={self.is_root})"

@@ -3,8 +3,9 @@
 The layer between the simulator and every experiment driver above it:
 
 - :class:`TaskSpec` — canonical, hashable description of one cell
-  (:func:`comparison_spec`, :func:`wake_interval_spec`,
-  :func:`network_size_spec`, :func:`selftest_spec` build them);
+  (:func:`comparison_spec`, :func:`construction_spec`,
+  :func:`wake_interval_spec`, :func:`network_size_spec`,
+  :func:`selftest_spec` build them);
 - :class:`ResultCache` — content-addressed on-disk JSON cache, invalidated
   by any config change or a ``repro`` version bump;
 - :class:`ParallelRunner` — process-pool execution with per-cell timeout,
@@ -53,6 +54,7 @@ from repro.runner.taskspec import (
     canonical_json,
     chaos_spec,
     comparison_spec,
+    construction_spec,
     fingerprint_of,
     lora_spec,
     network_size_spec,
@@ -86,6 +88,7 @@ __all__ = [
     "canonical_json",
     "chaos_spec",
     "comparison_spec",
+    "construction_spec",
     "execute_spec",
     "fingerprint_of",
     "lora_spec",

@@ -146,6 +146,27 @@ def comparison_spec(
     )
 
 
+def construction_spec(topology: str, seed: int = 0) -> TaskSpec:
+    """Spec for one code-construction cell (Figure 6, Table II).
+
+    Like :func:`comparison_spec`, the fingerprint covers the derived
+    :class:`NetworkConfig`; the topology's convergence budget rides along
+    as the cell's schedule.
+    """
+    from repro.experiments.codestats import construction_budget, construction_config
+
+    return TaskSpec(
+        kind="construction",
+        params={
+            "topology": topology,
+            "seed": seed,
+            "schedule": {"max_seconds": construction_budget(topology)},
+            "config": construction_config(topology, seed).to_dict(),
+        },
+        label=f"construction/{topology}/seed{seed}",
+    )
+
+
 def chaos_spec(
     variant: str,
     scenario: str = "mixed",

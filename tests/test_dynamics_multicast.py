@@ -98,11 +98,6 @@ class TestControllerEdgeCases:
             prr = protocols[0].stack.mac.radio.channel.expected_prr(helper[0], 3)
             assert prr >= controller.MIN_HELPER_PRR
 
-    def test_known_nodes_listing(self):
-        controller = Controller()
-        controller.report_code(3, PathCode.sink())
-        assert controller.known_nodes() == [3]
-
 
 class TestSimulatorRunContracts:
     def test_run_until_is_resumable(self):

@@ -18,7 +18,6 @@ from repro.metrics.io import (
     control_record_from_dict,
     control_record_to_dict,
     load_results,
-    save_results,
 )
 
 finite = st.floats(allow_nan=False, allow_infinity=False)
@@ -108,6 +107,12 @@ def test_aggregates_survive_round_trip(result):
         )
 
 
+def write_out(payload, path):
+    """Write results as ``repro run --out`` does."""
+    path.write_text(json.dumps(payload, indent=2, sort_keys=True))
+    return path
+
+
 def test_save_then_load_rehydrated_single(tmp_path):
     result = ComparisonResult(
         variant="tele", zigbee_channel=26, seed=1, n_controls=2,
@@ -115,7 +120,7 @@ def test_save_then_load_rehydrated_single(tmp_path):
         mean_latency=1.25, tx_per_control=3.0, duty_cycle=0.04,
         athx_samples=[(1, 2)],
     )
-    path = save_results(result, tmp_path / "one.json")
+    path = write_out(comparison_to_dict(result), tmp_path / "one.json")
     loaded = load_results(path, rehydrate=True)
     assert isinstance(loaded, ComparisonResult)
     assert_comparisons_equal(loaded, result)
@@ -130,7 +135,7 @@ def test_save_then_load_rehydrated_list(tmp_path):
         )
         for s in (1, 2)
     ]
-    path = save_results(results, tmp_path / "many.json")
+    path = write_out([comparison_to_dict(r) for r in results], tmp_path / "many.json")
     loaded = load_results(path, rehydrate=True)
     assert [r.seed for r in loaded] == [1, 2]
     for original, back in zip(results, loaded):
@@ -143,5 +148,5 @@ def test_load_results_default_stays_plain(tmp_path):
         pdr=None, pdr_by_hop={}, latency_by_hop={}, mean_latency=None,
         tx_per_control=None, duty_cycle=None,
     )
-    path = save_results(result, tmp_path / "plain.json")
+    path = write_out(comparison_to_dict(result), tmp_path / "plain.json")
     assert isinstance(load_results(path), dict)

@@ -3,7 +3,7 @@
 import pytest
 
 from repro.metrics.control import ControlMetrics, ControlRecord
-from repro.metrics.stats import mean, percentile, summarize
+from repro.metrics.stats import mean, percentile
 from repro.sim.units import SECOND
 
 
@@ -33,14 +33,6 @@ class TestStats:
         assert percentile(values, 100.0) == 3.0
         with pytest.raises(ValueError):
             percentile(values, 101.0)
-
-    def test_summarize_keys(self):
-        s = summarize([1.0, 2.0, 3.0, 4.0])
-        assert s["n"] == 4.0
-        assert s["mean"] == 2.5
-        assert s["min"] == 1.0
-        assert s["max"] == 4.0
-        assert s["median"] == 2.5
 
 
 class TestControlRecord:

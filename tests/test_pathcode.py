@@ -4,7 +4,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from repro.core.pathcode import PathCode, best_match
+from repro.core.pathcode import PathCode
 
 
 def codes(max_length: int = 64):
@@ -139,20 +139,6 @@ class TestExtend:
         with pytest.raises(ValueError):
             PathCode.sink().extend(4, 2)
 
-    def test_widen_last_preserves_position_value(self):
-        parent = PathCode.from_bits("001")
-        child = parent.extend(3, 2)  # 00111
-        widened = child.widen_last(2, 3)
-        assert widened == parent.extend(3, 3)  # 001011
-        assert str(widened) == "001011"
-
-    def test_widen_last_invalid(self):
-        code = PathCode.from_bits("01")
-        with pytest.raises(ValueError):
-            code.widen_last(2, 1)
-        with pytest.raises(ValueError):
-            code.widen_last(3, 4)
-
 
 class TestEqualityAndHash:
     def test_equal_codes_hash_equal(self):
@@ -168,30 +154,6 @@ class TestEqualityAndHash:
 
     def test_not_equal_to_other_types(self):
         assert PathCode.sink() != "0"
-
-
-class TestBestMatch:
-    def test_picks_longest_prefix(self):
-        target = PathCode.from_bits("0010101")
-        candidates = {
-            "a": PathCode.from_bits("001"),
-            "b": PathCode.from_bits("00101"),
-            "x": PathCode.from_bits("0011"),
-        }
-        key, length = best_match(target, candidates)
-        assert key == "b"
-        assert length == 5
-
-    def test_none_when_no_prefix(self):
-        target = PathCode.from_bits("111")
-        key, length = best_match(target, {"a": PathCode.from_bits("0")})
-        assert key is None
-        assert length == -1
-
-    def test_skips_none_codes(self):
-        target = PathCode.from_bits("01")
-        key, _ = best_match(target, {"a": None, "b": PathCode.from_bits("0")})
-        assert key == "b"
 
 
 class TestProperties:
@@ -228,11 +190,3 @@ class TestProperties:
         assert a.common_prefix_length(c) >= min(
             a.common_prefix_length(b), b.common_prefix_length(c)
         )
-
-    @given(codes(), st.integers(min_value=1, max_value=4), st.integers(min_value=0, max_value=15), st.integers(min_value=1, max_value=3))
-    def test_widen_preserves_prefix_and_position(self, parent, space, position, extra):
-        position %= 1 << space
-        child = parent.extend(position, space)
-        widened = child.widen_last(space, space + extra)
-        assert parent.is_prefix_of(widened)
-        assert widened == parent.extend(position, space + extra)

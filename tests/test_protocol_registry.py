@@ -174,12 +174,16 @@ class TestThirdPartyAdapterEndToEnd:
 
         rc = cli.main(
             [
-                "compare",
+                "run", "chaos",
                 "--variants", "flood",
-                "--channels", "26",
-                "--seed", "2",
+                "--intensities", "0.25",
+                "--seeds", "2",
                 "--controls", "2",
                 "--interval", "2",
+                "--converge", "5",
+                "--drain", "5",
+                "--no-cache",
+                "--quiet",
             ]
         )
         out = capsys.readouterr().out

@@ -1,12 +1,20 @@
 """Tests for ASCII topology rendering and result persistence."""
 
+import json
+
 import pytest
 
 from repro.experiments.comparison import ComparisonResult
 from repro.metrics.control import ControlMetrics, ControlRecord
-from repro.metrics.io import comparison_to_dict, load_results, save_results
+from repro.metrics.io import comparison_to_dict, load_results
 from repro.topology import indoor_testbed, random_uniform
 from repro.topology.render import render_deployment, render_network
+
+
+def write_out(payload, path):
+    """Write results as ``repro run --out`` does."""
+    path.write_text(json.dumps(payload, indent=2, sort_keys=True))
+    return path
 
 
 class TestRenderDeployment:
@@ -78,12 +86,13 @@ class TestResultsIO:
         assert payload["records"][0]["latency_s"] == pytest.approx(1.5)
 
     def test_roundtrip_single(self, tmp_path):
-        path = save_results(self._result(), tmp_path / "run.json")
+        path = write_out(comparison_to_dict(self._result()), tmp_path / "run.json")
         loaded = load_results(path)
         assert loaded["seed"] == 1
         assert loaded["athx_samples"] == [[2, 2]]
 
     def test_roundtrip_list(self, tmp_path):
-        path = save_results([self._result(), self._result()], tmp_path / "runs.json")
+        payload = [comparison_to_dict(self._result()) for _ in range(2)]
+        path = write_out(payload, tmp_path / "runs.json")
         loaded = load_results(path)
         assert isinstance(loaded, list) and len(loaded) == 2

@@ -93,18 +93,35 @@ class TestRowBuilders:
         assert rows[0][2] == "5.00"
 
 
+def stub_construction(monkeypatch, code_lengths):
+    """Serve every construction cell ``code_lengths`` without simulating."""
+    from repro.experiments import registry
+
+    stats = {
+        "code_length_by_hop": code_lengths,
+        "children_by_hop": [[0, [2]], [1, [1]]],
+        "convergence_beacons": [4.0, 9.0],
+        "reverse_hops": [[1, 1], [2, 2]],
+    }
+    monkeypatch.setattr(
+        "repro.experiments.codestats.code_construction_run", lambda **kwargs: None
+    )
+    record = dataclasses.replace(registry.EXPERIMENTS["construction"], to_json=lambda net: stats)
+    monkeypatch.setitem(registry.EXPERIMENTS, "construction", record)
+
+
 class TestCliParser:
     def test_all_subcommands_parse(self):
         parser = build_parser()
-        for command in ("fig6a", "fig6b", "fig6c", "fig6d", "table2"):
-            args = parser.parse_args([command, "--seed", "3"])
-            assert args.seed == 3
+        for grid in ("fig6a", "fig6b", "fig6c", "fig6d", "table2"):
+            args = parser.parse_args(["run", grid, "--seeds", "3"])
+            assert args.seeds == [3]
             assert callable(args.func)
-        for command in ("fig7", "fig8", "fig10"):
-            args = parser.parse_args([command, "--channel", "19", "--controls", "5"])
-            assert args.channel == 19
+        for grid in ("fig7", "fig8", "fig10"):
+            args = parser.parse_args(["run", grid, "--channels", "19", "--controls", "5"])
+            assert args.channels == [19]
             assert args.controls == 5
-        args = parser.parse_args(["compare", "--channels", "26"])
+        args = parser.parse_args(["run", "compare", "--channels", "26"])
         assert args.channels == [26]
         args = parser.parse_args(["quickstart", "--destination", "4"])
         assert args.destination == 4
@@ -117,53 +134,37 @@ class TestCliParser:
     def test_invalid_channel_rejected(self):
         parser = build_parser()
         with pytest.raises(SystemExit):
-            parser.parse_args(["fig7", "--channel", "11"])
+            parser.parse_args(["run", "fig7", "--channels", "11"])
 
     def test_csv_output(self, tmp_path, monkeypatch):
-        # Drive the small table2 path end to end with a stubbed construction.
+        # Drive the small table2 grid end to end with a stubbed construction.
         from repro import cli
 
-        class FakeNet:
-            pass
-
-        def fake_run(topology, seed):
-            return FakeNet()
-
-        monkeypatch.setattr(cli, "code_construction_run", fake_run)
-        monkeypatch.setattr(
-            cli, "code_length_by_hop", lambda net: {1: [5, 5, 6], 2: [8]}
-        )
+        stub_construction(monkeypatch, [[1, [5, 5, 6]], [2, [8]]])
         csv_path = tmp_path / "out.csv"
-        rc = cli.main(["table2", "--csv", str(csv_path)])
+        rc = cli.main(["run", "table2", "--no-cache", "--quiet", "--csv", str(csv_path)])
         assert rc == 0
         content = csv_path.read_text()
-        assert content.splitlines()[0] == ",".join(report.CODE_LENGTH_HEADERS)
-        assert "5.33" in content
+        assert content.splitlines()[0] == ",".join(["topology", *report.CODE_LENGTH_HEADERS])
+        assert "indoor-testbed,1,3,5.33,5,6" in content
 
 
 class TestAllCommand:
     def test_all_parses(self):
         parser = build_parser()
-        args = parser.parse_args(["all", "--out", "r", "--skip-comparison"])
+        args = parser.parse_args(["all", "--out", "r", "--skip-comparison", "--seeds", "1", "2"])
         assert args.out == "r"
         assert args.skip_comparison
+        assert args.seeds == [1, 2]
 
     def test_all_fast_path_writes_csvs(self, tmp_path, monkeypatch):
         from repro import cli
 
-        class FakeNet:
-            pass
-
-        monkeypatch.setattr(cli, "code_construction_run", lambda topology, seed: FakeNet())
-        monkeypatch.setattr(cli, "code_length_by_hop", lambda net: {1: [5], 2: [8]})
-        monkeypatch.setattr(cli, "convergence_beacons", lambda net: [4.0, 9.0])
-        monkeypatch.setattr(cli, "reverse_hop_counts", lambda net: [(1, 1), (2, 2)])
-        import repro.experiments.codestats as codestats
-
-        monkeypatch.setattr(codestats, "children_by_hop", lambda net: {0: [2], 1: [1]})
+        stub_construction(monkeypatch, [[1, [5]], [2, [8]]])
+        monkeypatch.chdir(tmp_path)  # the default cache directory lands here
         rc = cli.main(["all", "--out", str(tmp_path / "res"), "--skip-comparison"])
         assert rc == 0
         files = {p.name for p in (tmp_path / "res").iterdir()}
-        assert "table2_indoor.csv" in files
-        assert "fig6a_tight_convergence.csv" in files
-        assert len(files) == 12
+        grids = ("fig6a", "fig6b", "fig6c", "fig6d", "table2")
+        assert files == {f"{grid}.{ext}" for grid in grids for ext in ("csv", "json")}
+        assert "tight-grid,median,6.5" in (tmp_path / "res" / "fig6c.csv").read_text()

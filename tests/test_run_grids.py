@@ -6,9 +6,13 @@ compares what a user sees against ``tests/golden/run_grids.json``:
 - the journal's file name — the grid fingerprint over every cell
   fingerprint in order plus the retry policy, so it pins each spec's kind,
   params and the policy byte for byte;
-- the printed per-cell, aggregate and soak-tail tables (the runner
+- the printed per-cell, figure, aggregate and soak-tail tables (the runner
   telemetry block after them is wall-clock and left out);
 - the ``--csv`` file and the ``--out`` JSON.
+
+The parity tests at the bottom hold each paper-figure grid to the
+``repro.experiments.report`` helper that builds its rows: for one seed, the
+grid's CSV rows are the helper's rows for the same cells run directly.
 
 Wall-clock values are masked: the ``events/s`` column of the scale and soak
 tables and CSVs, and ``wall_s``/``events_per_sec`` in their JSON.
@@ -34,6 +38,16 @@ from typing import Dict, List
 import pytest
 
 from repro import cli
+from repro.experiments import report
+from repro.experiments.codestats import (
+    children_by_hop,
+    code_construction_run,
+    code_length_by_hop,
+    convergence_beacons,
+    reverse_hop_counts,
+)
+from repro.experiments.comparison import run_comparison
+from repro.experiments.registry import COMPARISON_FIGURES
 
 GOLDEN_FILE = Path(__file__).parent / "golden" / "run_grids.json"
 
@@ -41,6 +55,12 @@ SCHEDULE = [
     "--controls", "1", "--interval", "5", "--converge", "20", "--drain", "5",
 ]
 GRID_ARGS: Dict[str, List[str]] = {
+    # The construction grids take no schedule; their cells converge in ~0.5 s.
+    "fig6a": ["--seeds", "1"],
+    "fig6b": ["--seeds", "1"],
+    "fig6c": ["--seeds", "1"],
+    "fig6d": ["--seeds", "1"],
+    "table2": ["--seeds", "1"],
     "fig7": ["--seeds", "1"],
     "fig8": ["--seeds", "1", "2"],
     "fig10": ["--seeds", "1"],
@@ -51,6 +71,7 @@ GRID_ARGS: Dict[str, List[str]] = {
     "scale": ["--seeds", "1", "--sizes", "100"],
     "soak": ["--seeds", "1", "--duration", "120", "--window", "60"],
 }
+FIGURE_6_FIELDS = ("tight-grid", "sparse-linear")
 WALL_CLOCK_JSON = re.compile(r'("(?:wall_s|events_per_sec)": )[-0-9.eE+]+')
 
 
@@ -123,6 +144,75 @@ def test_run_grid_output_is_pinned(grid, pinned, tmp_path):
     assert got["tables"] == want["tables"]
     assert got["csv"] == want["csv"]
     assert got["out_sha256"] == want["out_sha256"], "--out JSON changed"
+
+
+# ------------------------------------------------------------------ parity
+
+@pytest.fixture(scope="module")
+def one_seed_csvs(tmp_path_factory) -> Dict[str, List[str]]:
+    """Each figure grid's CSV body lines for seed 1, over one shared cache."""
+    workdir = tmp_path_factory.mktemp("parity")
+    csvs = {}
+    for grid in ("fig6a", "fig6b", "fig6c", "fig6d", "table2", *COMPARISON_FIGURES):
+        csv_path = workdir / f"{grid}.csv"
+        with contextlib.redirect_stdout(io.StringIO()):
+            rc = cli.main(
+                [
+                    "run", grid, "--seeds", "1", "--quiet", "--csv", str(csv_path),
+                    "--cache-dir", str(workdir / "cache"), *SCHEDULE,
+                ]
+            )
+        assert rc == 0
+        csvs[grid] = csv_path.read_text().splitlines()[1:]
+    return csvs
+
+
+def _lines(rows) -> List[str]:
+    return [",".join(str(cell) for cell in row) for row in rows]
+
+
+def test_construction_grids_print_their_report_rows(one_seed_csvs):
+    nets = {t: code_construction_run(t, seed=1) for t in FIGURE_6_FIELDS}
+    indoor = code_construction_run("indoor-testbed", seed=1)
+    assert one_seed_csvs["table2"] == _lines(
+        ["indoor-testbed", *row] for row in report.code_length_rows(code_length_by_hop(indoor))
+    )
+    figures = {
+        "fig6a": lambda net: report.code_length_rows(code_length_by_hop(net)),
+        "fig6b": lambda net: report.children_rows(children_by_hop(net)),
+        "fig6c": lambda net: report.convergence_rows(convergence_beacons(net)),
+        "fig6d": lambda net: sorted(reverse_hop_counts(net)),
+    }
+    for grid, rows_of in figures.items():
+        want = [[t, *row] for t, net in nets.items() for row in rows_of(net)]
+        assert one_seed_csvs[grid] == _lines(want), grid
+
+
+def test_comparison_grids_print_their_report_rows(one_seed_csvs):
+    schedule = dict(n_controls=1, control_interval_s=5.0, converge_seconds=20.0, drain_seconds=5.0)
+    runs = {
+        (v, ch): run_comparison(v, zigbee_channel=ch, seed=1, **schedule)
+        for v in ("tele", "re-tele", "rpl", "drip")
+        for ch in (26, 19)
+    }
+
+    def on(channel, grid):
+        return {v: runs[v, channel] for v in COMPARISON_FIGURES[grid].over}
+
+    figures = {
+        "fig7": report.pdr_by_hop_rows,
+        "fig8": report.athx_rows,
+        "fig10": report.latency_by_hop_rows,
+    }
+    for grid, rows_of in figures.items():
+        assert one_seed_csvs[grid] == _lines([26, *row] for row in rows_of(on(26, grid))), grid
+    for grid in ("table3", "compare"):
+        want = [
+            row
+            for ch in (26, 19)
+            for row in report.comparison_rows({(v, ch): r for v, r in on(ch, grid).items()})
+        ]
+        assert one_seed_csvs[grid] == _lines(want), grid
 
 
 if __name__ == "__main__":  # pragma: no cover - maintenance entry point

@@ -108,20 +108,34 @@ class TestGridDefaults:
     def expected(grid):
         from repro.experiments.chaos import chaos_grid_specs
         from repro.experiments.lora import lora_grid_specs
-        from repro.runner import comparison_spec, scale_spec, soak_spec
+        from repro.runner import comparison_spec, construction_spec, scale_spec, soak_spec
 
-        # The CLI's own default for comparison and chaos grids: 20 controls
-        # a minute apart, not the drivers' COMPARISON/CHAOS_DEFAULTS.
-        cli_schedule = dict(n_controls=20, control_interval_s=60.0)
-        if grid == "fig8":
+        # Every paper figure runs one schedule: 25 controls a minute apart
+        # after 240 s of convergence, then 60 s of drain.
+        figure_schedule = dict(
+            n_controls=25, control_interval_s=60.0, converge_seconds=240.0, drain_seconds=60.0
+        )
+        comparison_cells = {
+            "fig7": (("drip", "re-tele", "tele", "rpl"), (26,)),
+            "fig8": (("tele", "rpl"), (26,)),
+            "table3": (("tele", "re-tele", "rpl", "drip"), (26, 19)),
+        }
+        if grid in comparison_cells:
+            variants, channels = comparison_cells[grid]
             return [
-                comparison_spec(v, zigbee_channel=26, seed=1, **cli_schedule)
-                for v in ("tele", "rpl")
+                comparison_spec(v, zigbee_channel=ch, seed=1, **figure_schedule)
+                for ch in channels
+                for v in variants
             ]
+        if grid == "fig6a":
+            return [construction_spec(t, 1) for t in ("tight-grid", "sparse-linear")]
+        if grid == "table2":
+            return [construction_spec("indoor-testbed", 1)]
         if grid == "chaos":
+            # The chaos grid keeps its own default of 20 controls.
             return chaos_grid_specs(
                 ["tele", "re-tele"], [0.25, 0.5, 1.0], [1],
-                scenario="crash-churn", **cli_schedule,
+                scenario="crash-churn", n_controls=20, control_interval_s=60.0,
             )
         if grid == "lora":
             return lora_grid_specs(["tele", "drip"], [1], radio_profile="lora")
@@ -133,11 +147,28 @@ class TestGridDefaults:
             for i in (0.25, 0.5, 1.0)
         ]
 
-    @pytest.mark.parametrize("grid", ["fig8", "chaos", "lora", "scale", "soak"])
+    @pytest.mark.parametrize(
+        "grid", ["fig7", "fig8", "table3", "fig6a", "table2", "chaos", "lora", "scale", "soak"]
+    )
     def test_default_cells(self, grid):
         got = self.expand(grid)
         want = self.expected(grid)
         assert [s.label for s in got] == [s.label for s in want]
+        assert [s.fingerprint for s in got] == [s.fingerprint for s in want]
+
+    def test_construction_budgets(self):
+        budgets = {
+            s.params["topology"]: s.params["schedule"]["max_seconds"]
+            for grid in ("fig6a", "table2")
+            for s in self.expand(grid)
+        }
+        assert budgets == {"tight-grid": 400.0, "sparse-linear": 400.0, "indoor-testbed": 240.0}
+
+    def test_benchmark_cells_are_the_fig7_grid(self):
+        from benchmarks.conftest import comparison_cell
+
+        got = self.expand("fig7", "--seeds", "1")
+        want = [comparison_cell(v, 26) for v in ("drip", "re-tele", "tele", "rpl")]
         assert [s.fingerprint for s in got] == [s.fingerprint for s in want]
 
     def test_zero_battery_disables_depletion(self):
@@ -155,7 +186,7 @@ class TestRunExecution:
         )
         out = capsys.readouterr().out
         assert "4 cells: 4 executed, 0 cached" in out
-        assert "seed-averaged (n=2)" in out
+        assert "Figure 8: ATHX vs CTP hops, channel 26" in out
 
     def test_second_invocation_is_fully_cached(self, tmp_path, stub_comparison, capsys):
         run_cli(tmp_path)
@@ -180,7 +211,7 @@ class TestRunExecution:
         saved = json.loads(out_json.read_text())
         assert len(saved) == 4
         assert {item["variant"] for item in saved} == {"tele", "rpl"}
-        assert out_csv.read_text().startswith("variant,ch,seed,status")
+        assert out_csv.read_text().startswith("channel,protocol,ctp_hops,athx\n")
 
     def test_failing_cells_reported_and_nonzero_exit(
         self, tmp_path, monkeypatch, capsys
