@@ -2,11 +2,12 @@
 
     PYTHONPATH=src python scripts/chaos_smoke.py
 
-Runs a crash-churn cell of the Re-Tele variant for seeds 1 and 2 on a
-two-worker spawn pool. Every cell must complete, and backtracking and
-Re-Tele must actually fire: a zero counter means the fault layer or a
-recovery path silently stopped working. The pool needs this file's
-``__main__`` guard: spawn workers re-import the main module.
+Runs a crash-churn cell of the Re-Tele variant for seeds 1 and 2 at
+``jobs=2``, one spawned process per cell. Every cell must complete, and
+backtracking and Re-Tele must actually fire: a zero counter means the fault
+layer or a recovery path silently stopped working. The cell processes need
+this file's ``__main__`` guard: a spawned process re-imports the main
+module.
 """
 
 from repro.runner import ParallelRunner, chaos_spec

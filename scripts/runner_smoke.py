@@ -2,15 +2,15 @@
 
     PYTHONPATH=src python scripts/runner_smoke.py
 
-Runs two tiny TeleAdjusting comparison cells on a two-worker spawn pool
-into ``.repro-cache``, then the same grid again. Then runs
+Runs two tiny TeleAdjusting comparison cells at ``jobs=2`` (one spawned
+process per cell) into ``.repro-cache``, then the same grid again. Then runs
 ``repro all --skip-comparison`` (the five code-construction grids) twice
 into the same cache: the warm run must simulate nothing and rewrite every
 CSV byte for byte. Catches cache-key regressions: a fingerprint that
 drifts between identical invocations would re-simulate. Start from a
 fresh cache directory; a warm one makes the cold runs' "executed" counts
-zero. The pool needs this file's ``__main__`` guard: spawn workers
-re-import the main module.
+zero. The cell processes need this file's ``__main__`` guard: a spawned
+process re-imports the main module.
 """
 
 import contextlib

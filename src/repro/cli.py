@@ -72,7 +72,6 @@ def _build_runner(args: argparse.Namespace):
         progress=progress,
         journal_dir=journal_dir,
         resume=args.resume,
-        watchdog=args.watchdog,
         handle_signals=True,
     )
 
@@ -247,13 +246,6 @@ def build_parser() -> argparse.ArgumentParser:
             "resume this grid from its journal (implies --journal-dir "
             ".repro-journal when no directory is given): completed cells "
             "are served from the journal, the rest re-run"
-        ),
-    )
-    p.add_argument(
-        "--watchdog", type=float, default=None,
-        help=(
-            "heartbeat watchdog window in seconds (parallel mode only): "
-            "kill and retry workers that stop beating or stop progressing"
         ),
     )
     p.add_argument("--csv", type=str, default=None)

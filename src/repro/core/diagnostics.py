@@ -18,7 +18,6 @@ from collections import defaultdict, deque
 from dataclasses import dataclass, field
 from typing import Callable, Deque, Dict, List, Optional, Tuple
 
-from repro.net.messages import DataPacket
 from repro.sim.simulator import Simulator
 from repro.sim.units import MINUTE, SECOND, to_seconds
 
@@ -45,8 +44,9 @@ class Anomaly:
 class TrafficMonitor:
     """Sliding-window per-origin rate tracking at the sink.
 
-    Feed it every delivered collection packet (hook it into the sink's
-    ``CtpForwarding.on_deliver`` or a collect handler); query
+    Feed it the origin of every delivered collection packet through
+    :meth:`record` (from the sink's ``CtpForwarding.on_deliver`` or a
+    collect handler); query
     :meth:`anomalies` to get storms (rate ≫ expected) and silences (no
     packets for several expected intervals).
     """
@@ -70,10 +70,6 @@ class TrafficMonitor:
         self._first_seen: Dict[int, int] = {}
 
     # ------------------------------------------------------------------ feed
-    def packet_delivered(self, packet: DataPacket) -> None:
-        """Record one delivered collection packet."""
-        self.record(packet.origin)
-
     def record(self, origin: int) -> None:
         """Record one arrival from ``origin`` at the current time."""
         now = self.sim.now

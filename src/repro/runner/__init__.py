@@ -8,17 +8,16 @@ The layer between the simulator and every experiment driver above it:
   :func:`selftest_spec` build them);
 - :class:`ResultCache` — content-addressed on-disk JSON cache, invalidated
   by any config change or a ``repro`` version bump;
-- :class:`ParallelRunner` — process-pool execution with per-cell timeout,
-  a heartbeat watchdog, bounded retry with seeded backoff
-  (:class:`RetryPolicy`), crash containment with honest attribution, and
-  deterministic result ordering (``jobs=1`` is the bit-identical serial
-  path);
+- :class:`ParallelRunner` — one spawned process per cell, at most ``jobs``
+  at a time, with a per-cell timeout, one immediate re-run of a failed
+  attempt, quarantine of cells that crash or hang twice, and deterministic
+  result ordering (``jobs=1`` runs cells in-process, the reference path);
 - :class:`RunJournal` — append-only JSONL manifest keyed by the grid
   fingerprint: every dispatch/completion/failure is durably recorded, so a
   grid killed hard resumes exactly where it stopped;
 - :class:`RunnerReport` / :class:`CellTelemetry` — cells
-  executed/cached/resumed/failed, requeues, backoff totals, the
-  quarantined-cell list, sim-vs-wall time, aggregate throughput.
+  executed/cached/resumed/failed, the quarantined-cell list, sim-vs-wall
+  time, aggregate throughput.
 
 Usage::
 
@@ -35,19 +34,12 @@ Usage::
 from repro.runner.cache import ResultCache
 from repro.runner.engine import ParallelRunner, RunnerOutcome, resolve_jobs
 from repro.runner.execute import InjectedFault, execute_spec, run_task
-from repro.runner.executors import (
-    Cell,
-    CellExecutor,
-    InProcessExecutor,
-    LocalPoolExecutor,
-)
 from repro.runner.journal import (
     JOURNAL_SCHEMA,
     JournalState,
     RunJournal,
     grid_fingerprint,
 )
-from repro.runner.retry import DETERMINISTIC_ERRORS, RetryPolicy, RunError
 from repro.runner.taskspec import (
     SPEC_SCHEMA,
     TaskSpec,
@@ -66,20 +58,13 @@ from repro.runner.taskspec import (
 from repro.runner.telemetry import CellTelemetry, RunnerReport
 
 __all__ = [
-    "DETERMINISTIC_ERRORS",
     "JOURNAL_SCHEMA",
     "SPEC_SCHEMA",
-    "Cell",
-    "CellExecutor",
     "CellTelemetry",
-    "InProcessExecutor",
-    "LocalPoolExecutor",
     "InjectedFault",
     "JournalState",
     "ParallelRunner",
     "ResultCache",
-    "RetryPolicy",
-    "RunError",
     "RunJournal",
     "RunnerOutcome",
     "RunnerReport",

@@ -1,20 +1,18 @@
-"""The experiment scheduler: cache/journal pass, retry, telemetry.
+"""The experiment scheduler: cache/journal pass, one retry rule, telemetry.
 
-:class:`ParallelRunner` schedules :class:`~repro.runner.taskspec.TaskSpec`
-cells onto a pluggable :class:`~repro.runner.executors.CellExecutor`
-(see :mod:`repro.runner.executors`), keeping every cross-cutting concern on
-the scheduler side:
+:class:`ParallelRunner` settles a grid of
+:class:`~repro.runner.taskspec.TaskSpec` cells, keeping every cross-cutting
+concern here and leaving only where cells run to a drain function in
+:mod:`repro.runner.executors`:
 
 - a result cache consulted before any simulation happens;
 - an optional **run journal** (:mod:`repro.runner.journal`): every
   dispatch/completion/failure is durably appended, so a grid killed hard
   (SIGKILL, OOM, reboot) resumes where it stopped — completed cells are
   served from the journal bit-identically, in-flight ones re-run;
-- a :class:`~repro.runner.retry.RetryPolicy` with seeded exponential
-  backoff and error classification: transient errors retry, deterministic
-  :class:`~repro.runner.retry.RunError`-style exceptions fail fast, and
-  poison cells (workers that keep dying or hanging) are quarantined in
-  the journal after the budget;
+- one retry rule: every failed attempt (an exception, a crash, a timeout)
+  gets exactly one immediate re-run, and a second failure is final. A cell
+  that crashed or timed out twice is quarantined in the journal;
 - graceful shutdown: with ``handle_signals=True``, the first
   SIGINT/SIGTERM drains in-flight cells and journals the rest as
   interrupted (resumable); a second signal abandons in-flight work
@@ -22,13 +20,11 @@ the scheduler side:
 - deterministic result ordering: outcomes come back in spec order no matter
   what order cells finished in.
 
-Execution strategy is the executor's business, and ``jobs`` alone picks
-it: ``jobs=1`` selects the serial
-:class:`~repro.runner.executors.InProcessExecutor` (bit-identical to the
-historical serial drivers), ``jobs=N`` the process-pool
-:class:`~repro.runner.executors.LocalPoolExecutor` (per-cell timeout,
-heartbeat watchdog, crash containment with honest attribution), and
-``jobs=0`` auto-detects ``os.cpu_count()``.
+``jobs`` alone picks where cells run: ``jobs=1`` in the calling process
+(:func:`~repro.runner.executors.drain_in_process`, the reference path),
+``jobs=N`` in one spawned process per cell, at most N at a time
+(:func:`~repro.runner.executors.drain_subprocesses`, with the per-cell
+timeout), and ``jobs=0`` auto-detects ``os.cpu_count()``.
 """
 
 from __future__ import annotations
@@ -56,14 +52,8 @@ from typing import (
 
 from repro.runner.cache import ResultCache
 from repro.runner.execute import sim_seconds_estimate
-from repro.runner.executors import (
-    Cell,
-    CellExecutor,
-    InProcessExecutor,
-    LocalPoolExecutor,
-)
+from repro.runner.executors import Cell, drain_in_process, drain_subprocesses
 from repro.runner.journal import JournalState, RunJournal
-from repro.runner.retry import RetryPolicy
 from repro.runner.taskspec import TaskSpec
 from repro.runner.telemetry import CellTelemetry, RunnerReport
 
@@ -100,9 +90,8 @@ class RunnerOutcome:
     #: Kernel events dispatched by the cell (None when the executor doesn't
     #: report one, or for cached/failed cells).
     events: Optional[int] = None
-    #: Innocent pool-rebuild requeues — never burn the retry budget.
-    requeues: int = 0
-    #: Poison cell: quarantined in the journal, skipped on resume.
+    #: Crashed or timed out on both attempts: quarantined in the journal,
+    #: skipped on resume.
     quarantined: bool = False
 
     @property
@@ -119,36 +108,24 @@ class ParallelRunner:
         jobs: int = 1,
         cache: Optional[ResultCache] = None,
         timeout: Optional[float] = None,
-        retries: int = 2,
         progress: Optional[ProgressSink] = None,
-        policy: Optional[RetryPolicy] = None,
         journal_dir: Optional[Union[str, Path]] = None,
         resume: bool = False,
-        watchdog: Optional[float] = None,
         handle_signals: bool = False,
     ) -> None:
-        if retries < 0:
-            raise ValueError("retries must be >= 0")
-        if watchdog is not None and watchdog <= 0:
-            raise ValueError("watchdog must be > 0 seconds")
         #: The requested value (0 = auto); ``jobs`` below is the resolved one.
         self.jobs_requested = jobs
         self.jobs = resolve_jobs(jobs)
         self.cache = cache
         self.timeout = timeout
-        self.policy = policy if policy is not None else RetryPolicy(retries=retries)
-        self.max_attempts = self.policy.max_attempts
         self.progress = progress
         self.journal_dir = Path(journal_dir) if journal_dir is not None else None
         self.resume = resume
-        self.watchdog = watchdog
         self.handle_signals = handle_signals
-        self.executor: CellExecutor = (
-            InProcessExecutor() if self.jobs == 1 else LocalPoolExecutor(self.jobs)
-        )
+        #: Where cells run, as telemetry names it.
+        self.executor = "in-process" if self.jobs == 1 else "subprocess"
         self.last_report: Optional[RunnerReport] = None
         self._interrupts = 0
-        self._backoff_total = 0.0
         self._journal_broken = False
 
     # ------------------------------------------------------------- internals
@@ -213,7 +190,7 @@ class ParallelRunner:
             return journal, journal.replay()
         if self.journal_dir is None:
             return None, None
-        journal = RunJournal.for_grid(self.journal_dir, specs, self.policy)
+        journal = RunJournal.for_grid(self.journal_dir, specs)
         if self.resume:
             return journal, journal.replay()
         journal.rotate_stale()
@@ -262,7 +239,6 @@ class ParallelRunner:
         """
         started = time.perf_counter()
         self._interrupts = 0
-        self._backoff_total = 0.0
         self._journal_broken = False
         if self.jobs_requested == 0:
             self._emit(
@@ -287,7 +263,6 @@ class ParallelRunner:
                         attempts=int(record.get("attempts", 1)),
                         wall_s=float(record.get("wall_s", 0.0)),
                         events=record.get("events"),
-                        requeues=int(record.get("requeues", 0)),
                     )
                     self._emit(
                         f"journal {spec.name}", cell=spec.name, status="journal"
@@ -319,7 +294,6 @@ class ParallelRunner:
                         cell=fingerprint,
                         index=index,
                         attempts=0,
-                        requeues=0,
                         wall_s=0.0,
                         events=None,
                         source="cached",
@@ -330,7 +304,8 @@ class ParallelRunner:
                     pending.append(Cell(index, spec))
 
             if pending and self._interrupts == 0:
-                self.executor.drain(self, pending, outcomes, journal)
+                drain = drain_in_process if self.jobs == 1 else drain_subprocesses
+                drain(self, pending, outcomes, journal)
 
         interrupted = 0
         for index, spec in enumerate(specs):
@@ -367,6 +342,18 @@ class ParallelRunner:
         return [outcome.result for outcome in self.run(specs)]
 
     # ----------------------------------------------------------- disposition
+    def _dispatch(self, cell: Cell, journal: Optional[RunJournal]) -> Dict[str, Any]:
+        """Announce and journal one attempt; returns :func:`run_task`'s payload."""
+        self._emit(f"run {cell.spec.name}", cell=cell.spec.name, attempt=cell.attempt)
+        self._journal(
+            journal,
+            "dispatch",
+            cell=cell.spec.fingerprint,
+            index=cell.index,
+            attempt=cell.attempt,
+        )
+        return {"spec": cell.spec.to_dict(), "attempt": cell.attempt}
+
     def _finalize(
         self,
         outcomes: List[Optional[RunnerOutcome]],
@@ -381,7 +368,6 @@ class ParallelRunner:
             attempts=cell.attempt + 1,
             wall_s=reply["wall_s"],
             events=reply.get("events"),
-            requeues=cell.requeues,
         )
         self._store(cell.spec, reply["result"])
         self._journal(
@@ -390,7 +376,6 @@ class ParallelRunner:
             cell=cell.spec.fingerprint,
             index=cell.index,
             attempts=cell.attempt + 1,
-            requeues=cell.requeues,
             wall_s=reply["wall_s"],
             events=reply.get("events"),
             source="executed",
@@ -408,45 +393,22 @@ class ParallelRunner:
         wall: float,
         journal: Optional[RunJournal],
         kind: str,
-        error: Optional[str] = None,
-        exc: Optional[BaseException] = None,
+        error: str,
     ) -> None:
-        """Retry with backoff, fail fast, or fail-and-quarantine one cell.
+        """Re-run a cell's first failure at once; its second is final.
 
-        ``kind`` is "error" (the cell raised), "crash" (its worker died),
-        or "hang" (timeout / watchdog kill). Deterministic errors skip the
-        retry budget entirely; crash/hang cells that exhaust it are
-        quarantined as poison.
+        ``kind`` is "error" (the cell raised), "crash" (its process died
+        with no reply) or "hang" (killed at the timeout). A final crash or
+        hang is quarantined in the journal, so a resumed grid skips it.
         """
         name = cell.spec.name
         fingerprint = cell.spec.fingerprint
-        error = error if error is not None else repr(exc)
-        deterministic = (
-            kind == "error"
-            and exc is not None
-            and self.policy.classify(exc) == "deterministic"
-        )
-        if not deterministic and cell.attempt + 1 < self.policy.max_attempts:
-            delay = self.policy.delay(fingerprint, cell.attempt)
-            self._backoff_total += delay
+        if cell.attempt == 0:
             self._journal(
-                journal,
-                "attempt",
-                cell=fingerprint,
-                attempt=cell.attempt,
-                kind=kind,
-                error=error,
-                delay_s=round(delay, 4),
+                journal, "attempt", cell=fingerprint, attempt=0, kind=kind, error=error
             )
-            self._emit(
-                f"retry {name}: {error}",
-                cell=name,
-                attempt=cell.attempt + 1,
-                kind=kind,
-                delay_s=delay,
-            )
-            cell.attempt += 1
-            cell.not_before = time.monotonic() + delay
+            self._emit(f"retry {name}: {error}", cell=name, attempt=1, kind=kind)
+            cell.attempt = 1
             pending.appendleft(cell)
             return
         quarantined = kind in ("crash", "hang")
@@ -457,7 +419,6 @@ class ParallelRunner:
             attempts=cell.attempt + 1,
             wall_s=wall,
             error=error,
-            requeues=cell.requeues,
             quarantined=quarantined,
         )
         self._journal(
@@ -477,16 +438,6 @@ class ParallelRunner:
             quarantined=quarantined,
         )
 
-    # ------------------------------------------------------------- utilities
-    def _sleep_interruptible(self, seconds: float) -> bool:
-        """Sleep up to ``seconds``; False if a shutdown signal arrived."""
-        deadline = time.monotonic() + seconds
-        while time.monotonic() < deadline:
-            if self._interrupts:
-                return False
-            time.sleep(min(0.05, max(deadline - time.monotonic(), 0.0)))
-        return not self._interrupts
-
     # ------------------------------------------------------------- reporting
     def _report(
         self,
@@ -495,11 +446,10 @@ class ParallelRunner:
         journal: Optional[RunJournal],
     ) -> RunnerReport:
         report = RunnerReport(
-            jobs=self.executor.slots,
-            executor=self.executor.name,
+            jobs=self.jobs,
+            executor=self.executor,
             jobs_requested=self.jobs_requested,
             wall_s=wall_s,
-            backoff_s=round(self._backoff_total, 4),
             journal=str(journal.path) if journal is not None else None,
         )
         for index, outcome in enumerate(outcomes):
@@ -519,7 +469,6 @@ class ParallelRunner:
                     ),
                     error=outcome.error,
                     events=outcome.events if outcome.status == "executed" else None,
-                    requeues=outcome.requeues,
                     quarantined=outcome.quarantined,
                 )
             )

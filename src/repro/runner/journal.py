@@ -1,20 +1,18 @@
 """The run journal: an append-only manifest that makes grids resumable.
 
 One journal file per *grid* — a JSONL manifest named by the grid
-fingerprint (hash of the ordered cell fingerprints plus the retry policy),
-living under a ``journal_dir``. Every state transition of every cell is
+fingerprint (hash of the ordered cell fingerprints), living under a ``journal_dir``. Every state transition of every cell is
 appended as one JSON line and fsynced, so after a SIGKILL / OOM / reboot
 the journal is an exact prefix of the run:
 
 - ``open``      — grid metadata (cell count, versions), written once;
-- ``dispatch``  — a cell was handed to a worker (attempt number included);
+- ``dispatch``  — a cell attempt started (attempt number included);
 - ``done``      — a cell completed; the record carries the **full result
   payload**, so resume never depends on the result cache being intact;
-- ``attempt``   — a failed attempt that will be retried (kind + backoff);
-- ``requeue``   — an innocent cell re-queued after a pool rebuild;
-- ``failed``    — a cell exhausted its budget or failed deterministically;
-- ``quarantine`` — a poison cell (worker kept dying/hanging): a resumed
-  grid reports it failed immediately instead of re-poisoning the pool;
+- ``attempt``   — a failed first attempt, re-run at once (error kind + text);
+- ``failed``    — a cell raised on its re-run too;
+- ``quarantine`` — a cell whose process crashed or timed out twice: a
+  resumed grid reports it failed immediately instead of running it again;
 - ``interrupt`` / ``close`` — how the run ended.
 
 :meth:`RunJournal.replay` folds the record stream into a
@@ -34,7 +32,6 @@ from pathlib import Path
 from typing import Any, Dict, Optional, Sequence, Set, Union
 
 from repro.havoc import fs as havocfs
-from repro.runner.retry import RetryPolicy
 from repro.runner.taskspec import TaskSpec, fingerprint_of
 from repro.sim.simulator import KERNEL_BEHAVIOR_VERSION
 from repro.version import __version__
@@ -44,8 +41,8 @@ from repro.version import __version__
 JOURNAL_SCHEMA = 1
 
 
-def grid_fingerprint(specs: Sequence[TaskSpec], policy: RetryPolicy) -> str:
-    """Content hash identifying one grid: ordered cells + retry policy.
+def grid_fingerprint(specs: Sequence[TaskSpec]) -> str:
+    """Content hash identifying one grid: its ordered cells.
 
     ``jobs`` is deliberately excluded — the engine guarantees results are
     identical across worker counts, so a grid journaled at ``jobs=4`` may
@@ -55,7 +52,6 @@ def grid_fingerprint(specs: Sequence[TaskSpec], policy: RetryPolicy) -> str:
         {
             "schema": JOURNAL_SCHEMA,
             "cells": [spec.fingerprint for spec in specs],
-            "policy": policy.to_dict(),
         }
     )
 
@@ -101,10 +97,9 @@ class RunJournal:
         cls,
         journal_dir: Union[str, Path],
         specs: Sequence[TaskSpec],
-        policy: RetryPolicy,
     ) -> "RunJournal":
         """The canonical journal for this grid under ``journal_dir``."""
-        grid = grid_fingerprint(specs, policy)
+        grid = grid_fingerprint(specs)
         return cls(Path(journal_dir) / f"{grid}.jsonl", grid)
 
     # -------------------------------------------------------------- writing
@@ -222,5 +217,5 @@ class RunJournal:
                 state.interrupted = True
             elif kind == "close":
                 state.closed = True
-            # "attempt"/"requeue" and unknown kinds are informational only.
+            # "attempt" and unknown kinds are informational only.
         return state

@@ -2,10 +2,10 @@
 
 Every :class:`~repro.runner.engine.ParallelRunner.run` produces a
 :class:`RunnerReport`: one :class:`CellTelemetry` per cell (executed /
-cached / resumed-from-journal / failed / interrupted, attempts, innocent
-requeues, wall seconds, scheduled sim seconds) plus aggregate counters —
-journal hits, total backoff delay, the quarantined-cell list — and a
-summary table rendered in the repo's usual ASCII-table style.
+cached / resumed-from-journal / failed / interrupted, attempts, wall
+seconds, scheduled sim seconds) plus aggregate counters — journal hits,
+the quarantined-cell list — and a summary table rendered in the repo's
+usual ASCII-table style.
 """
 
 from __future__ import annotations
@@ -33,12 +33,8 @@ class CellTelemetry:
     #: Kernel events the cell dispatched (None for cached/failed cells or
     #: executors that don't report one).
     events: Optional[int] = None
-    #: Pool-rebuild requeues the cell suffered as an innocent bystander —
-    #: these never burn the retry budget (attempts counts only the cell's
-    #: own failures).
-    requeues: int = 0
-    #: True when the cell was quarantined as poison (its worker kept dying
-    #: or hanging); a resumed grid skips it instead of re-running it.
+    #: True when the cell was quarantined (its process crashed or timed out
+    #: on both attempts); a resumed grid skips it instead of re-running it.
     quarantined: bool = False
 
 
@@ -47,8 +43,8 @@ class RunnerReport:
     """Aggregate outcome of one grid run."""
 
     jobs: int
-    #: Name of the executor that drained the grid ("in-process" or
-    #: "local-pool") — see :mod:`repro.runner.executors`.
+    #: Where the grid's cells ran ("in-process" or "subprocess") — see
+    #: :mod:`repro.runner.executors`.
     executor: str = "in-process"
     #: The ``jobs`` value as requested (0 = auto-detect); ``jobs`` above is
     #: always the resolved worker count, so auto-detection is never silent.
@@ -56,8 +52,6 @@ class RunnerReport:
     cells: List[CellTelemetry] = field(default_factory=list)
     #: Wall-clock seconds for the whole grid (includes scheduling overhead).
     wall_s: float = 0.0
-    #: Total seconds of retry backoff the engine scheduled this run.
-    backoff_s: float = 0.0
     #: Path of the run journal, when one was configured.
     journal: Optional[str] = None
 
@@ -81,7 +75,7 @@ class RunnerReport:
 
     @property
     def failed(self) -> int:
-        """Cells that exhausted their retry budget (or failed fast)."""
+        """Cells that failed on both attempts."""
         return self._count("failed")
 
     @property
@@ -93,11 +87,6 @@ class RunnerReport:
     def retried(self) -> int:
         """Cells that needed more than one attempt."""
         return sum(1 for c in self.cells if c.attempts > 1)
-
-    @property
-    def requeues(self) -> int:
-        """Total innocent pool-rebuild requeues across cells."""
-        return sum(c.requeues for c in self.cells)
 
     @property
     def sim_seconds(self) -> float:
@@ -147,8 +136,6 @@ class RunnerReport:
             "failed": self.failed,
             "interrupted": self.interrupted,
             "retried": self.retried,
-            "requeues": self.requeues,
-            "backoff_s": self.backoff_s,
             "wall_s": self.wall_s,
             "sim_seconds": self.sim_seconds,
             "throughput": self.throughput,
@@ -171,16 +158,11 @@ class RunnerReport:
             line += f", {self.resumed} resumed"
         if self.interrupted:
             line += f", {self.interrupted} interrupted"
-        line += f", {self.failed} failed ({self.retried} retried"
-        if self.requeues:
-            line += f", {self.requeues} requeued"
-        line += f") in {self.wall_s:.1f}s wall"
+        line += f", {self.failed} failed ({self.retried} retried) in {self.wall_s:.1f}s wall"
         if rate and self.sim_seconds > 0:
             line += f", {rate:.0f} sim-s/s"
         if events_rate:
             line += f", {events_rate / 1000:.0f}k ev/s"
-        if self.backoff_s:
-            line += f", {self.backoff_s:.2f}s backoff"
         for cell in self.failures():
             tag = " [quarantined]" if cell.quarantined else ""
             line += (
@@ -204,7 +186,6 @@ class RunnerReport:
                 c.kind,
                 c.status + ("*" if c.quarantined else ""),
                 c.attempts,
-                c.requeues,
                 f"{c.wall_s:.2f}",
                 f"{c.sim_s:.0f}",
                 c.error or "",
@@ -212,7 +193,7 @@ class RunnerReport:
             for c in self.cells
         ]
         table = ascii_table(
-            ["cell", "kind", "status", "attempts", "req", "wall_s", "sim_s", "error"],
+            ["cell", "kind", "status", "attempts", "wall_s", "sim_s", "error"],
             rows,
             title=f"Runner telemetry (executor={self.executor}, jobs={self.jobs})",
         )

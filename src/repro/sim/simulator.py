@@ -13,7 +13,6 @@ from __future__ import annotations
 
 import random
 import sys
-import weakref
 from heapq import heappop, heappush
 from typing import Any, Callable, Dict, List, Optional
 
@@ -39,19 +38,6 @@ class SimulationError(RuntimeError):
     """Raised for kernel misuse (negative delays, running a stopped sim)."""
 
 
-#: Weak reference to the most recently constructed :class:`Simulator` in
-#: this process. Lets out-of-band observers (the runner's worker heartbeat
-#: thread) sample ``events_executed``/``now`` without any hook in the event
-#: loop — zero cost on the kernel hot path, no behaviour change.
-_ACTIVE_SIMULATOR: Optional["weakref.ReferenceType[Simulator]"] = None
-
-
-def active_simulator() -> Optional["Simulator"]:
-    """The live, most recently constructed Simulator here, or None."""
-    ref = _ACTIVE_SIMULATOR
-    return ref() if ref is not None else None
-
-
 class Simulator:
     """Discrete-event simulator with deterministic, seeded randomness.
 
@@ -62,8 +48,6 @@ class Simulator:
     """
 
     def __init__(self, seed: int = 0) -> None:
-        global _ACTIVE_SIMULATOR
-        _ACTIVE_SIMULATOR = weakref.ref(self)
         self.seed = seed
         self._heap: List[EventHandle] = []
         self._seq = 0

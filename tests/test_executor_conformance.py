@@ -1,10 +1,10 @@
-"""Executor conformance: both executors produce bit-identical results.
+"""Executor conformance: both drain paths produce bit-identical results.
 
 The scheduler/executor split (:mod:`repro.runner.executors`) is only safe
 if *where* a cell runs never leaks into *what* it computes. These tests
-drive the same small chaos grid through the in-process executor
-(``jobs=1``) and the local process pool (``jobs>=2``) and require equal
-``trace_digest`` values per cell plus equivalent telemetry semantics.
+drive the same small chaos grid in-process (``jobs=1``) and in one spawned
+process per cell (``jobs>=2``) and require equal ``trace_digest`` values
+per cell plus equivalent telemetry semantics.
 """
 
 import pytest
@@ -39,10 +39,10 @@ def serial_reference():
 
 
 class TestBitIdentity:
-    def test_local_pool_matches_serial(self, serial_reference):
+    def test_process_per_cell_matches_serial(self, serial_reference):
         runner = ParallelRunner(jobs=2)
         outcomes = runner.run(chaos_grid())
-        assert runner.last_report.executor == "local-pool"
+        assert runner.last_report.executor == "subprocess"
         assert digests(outcomes) == digests(serial_reference)
 
 
@@ -54,7 +54,7 @@ class TestTelemetryEquivalence:
         reports = {}
         for name, runner in (
             ("in-process", ParallelRunner(jobs=1)),
-            ("local-pool", ParallelRunner(jobs=2)),
+            ("subprocess", ParallelRunner(jobs=2)),
         ):
             outcomes = runner.run(specs)
             assert [o.status for o in outcomes] == ["executed"] * 5

@@ -7,7 +7,6 @@ import pytest
 from repro.runner import (
     JOURNAL_SCHEMA,
     ParallelRunner,
-    RetryPolicy,
     RunJournal,
     grid_fingerprint,
     selftest_spec,
@@ -19,36 +18,26 @@ def specs():
     return [selftest_spec(i) for i in range(3)]
 
 
-@pytest.fixture
-def policy():
-    return RetryPolicy(retries=1)
-
-
 class TestGridFingerprint:
-    def test_stable_for_same_grid(self, specs, policy):
-        assert grid_fingerprint(specs, policy) == grid_fingerprint(specs, policy)
+    def test_stable_for_same_grid(self, specs):
+        assert grid_fingerprint(specs) == grid_fingerprint(specs)
 
-    def test_cell_order_matters(self, specs, policy):
-        assert grid_fingerprint(specs, policy) != grid_fingerprint(
-            list(reversed(specs)), policy
-        )
+    def test_cell_order_matters(self, specs):
+        assert grid_fingerprint(specs) != grid_fingerprint(list(reversed(specs)))
 
-    def test_policy_matters(self, specs):
-        assert grid_fingerprint(specs, RetryPolicy(retries=1)) != grid_fingerprint(
-            specs, RetryPolicy(retries=2)
-        )
-
-    def test_jobs_do_not_matter(self, specs, policy, tmp_path):
+    def test_jobs_do_not_matter(self, specs, tmp_path):
         # Resume must work across worker counts: the journal of a jobs=4 run
         # is found by a jobs=1 resume, so jobs cannot be in the identity.
-        a = RunJournal.for_grid(tmp_path, specs, policy)
-        b = RunJournal.for_grid(tmp_path, specs, policy)
-        assert a.path == b.path
+        ParallelRunner(jobs=2, journal_dir=tmp_path / "a").run(specs)
+        ParallelRunner(jobs=1, journal_dir=tmp_path / "b").run(specs)
+        a = [p.name for p in (tmp_path / "a").glob("*.jsonl")]
+        b = [p.name for p in (tmp_path / "b").glob("*.jsonl")]
+        assert a == b == [RunJournal.for_grid(tmp_path, specs).path.name]
 
 
 class TestRecordAndReplay:
-    def test_open_header_written_once(self, specs, policy, tmp_path):
-        journal = RunJournal.for_grid(tmp_path, specs, policy)
+    def test_open_header_written_once(self, specs, tmp_path):
+        journal = RunJournal.for_grid(tmp_path, specs)
         journal.record("dispatch", cell="abc", index=0, attempt=0)
         journal.record("done", cell="abc", index=0, result={"v": 1})
         lines = [json.loads(l) for l in journal.path.read_text().splitlines()]
@@ -56,8 +45,8 @@ class TestRecordAndReplay:
         assert lines[0]["schema"] == JOURNAL_SCHEMA
         assert lines[0]["grid"] == journal.grid
 
-    def test_replay_folds_lifecycle(self, specs, policy, tmp_path):
-        journal = RunJournal.for_grid(tmp_path, specs, policy)
+    def test_replay_folds_lifecycle(self, specs, tmp_path):
+        journal = RunJournal.for_grid(tmp_path, specs)
         journal.record("dispatch", cell="a", index=0, attempt=0)
         journal.record("dispatch", cell="b", index=1, attempt=0)
         journal.record("done", cell="a", index=0, result={"v": 1}, attempts=1)
@@ -73,10 +62,10 @@ class TestRecordAndReplay:
         state = RunJournal(tmp_path / "absent.jsonl").replay()
         assert state.completed == {} and state.records == 0
 
-    def test_torn_tail_is_tolerated(self, specs, policy, tmp_path):
+    def test_torn_tail_is_tolerated(self, specs, tmp_path):
         # A crash mid-append leaves a half-written final line; replay must
         # keep everything before it and flag the truncation.
-        journal = RunJournal.for_grid(tmp_path, specs, policy)
+        journal = RunJournal.for_grid(tmp_path, specs)
         journal.record("done", cell="a", index=0, result={"v": 1}, attempts=1)
         with open(journal.path, "a") as handle:
             handle.write('{"t":"done","cell":"b","resu')
@@ -84,15 +73,15 @@ class TestRecordAndReplay:
         assert set(state.completed) == {"a"}
         assert state.truncated
 
-    def test_grid_mismatch_rejected(self, specs, policy, tmp_path):
-        journal = RunJournal.for_grid(tmp_path, specs, policy)
+    def test_grid_mismatch_rejected(self, specs, tmp_path):
+        journal = RunJournal.for_grid(tmp_path, specs)
         journal.record("close")
         stranger = RunJournal(journal.path, grid="not-this-grid")
         with pytest.raises(ValueError, match="belongs to grid"):
             stranger.replay()
 
-    def test_rotate_stale_keeps_backup(self, specs, policy, tmp_path):
-        journal = RunJournal.for_grid(tmp_path, specs, policy)
+    def test_rotate_stale_keeps_backup(self, specs, tmp_path):
+        journal = RunJournal.for_grid(tmp_path, specs)
         journal.record("close")
         journal.rotate_stale()
         assert not journal.path.exists()
@@ -121,14 +110,13 @@ class TestRunnerIntegration:
 
     def test_partial_journal_runs_only_the_rest(self, specs, tmp_path):
         reference = ParallelRunner(jobs=1).run(specs)
-        journal = RunJournal.for_grid(tmp_path, specs, RetryPolicy())
+        journal = RunJournal.for_grid(tmp_path, specs)
         # Hand-complete the middle cell, as if the previous run died after it.
         journal.record(
             "done",
             cell=specs[1].fingerprint,
             index=1,
             attempts=1,
-            requeues=0,
             wall_s=0.01,
             events=None,
             source="executed",
@@ -148,12 +136,12 @@ class TestRunnerIntegration:
     def test_quarantined_cell_skipped_on_resume(self, tmp_path):
         poison = selftest_spec(1, fault={"crash_attempts": 99})
         grid = [selftest_spec(0), poison, selftest_spec(2)]
-        first = ParallelRunner(jobs=2, retries=1, journal_dir=tmp_path)
+        first = ParallelRunner(jobs=2, journal_dir=tmp_path)
         outcomes = first.run(grid)
         assert outcomes[1].status == "failed" and outcomes[1].quarantined
-        second = ParallelRunner(jobs=2, retries=1, journal_dir=tmp_path, resume=True)
+        second = ParallelRunner(jobs=2, journal_dir=tmp_path, resume=True)
         resumed = second.run(grid)
-        # The poison cell must not re-poison the pool: no executions for it.
+        # The quarantined cell is not run again.
         assert resumed[1].status == "failed"
         assert resumed[1].quarantined
         assert "quarantined in journal" in resumed[1].error
@@ -169,13 +157,12 @@ class TestTornTailResume:
         from repro.havoc import HavocEvent, HavocPlan
 
         reference = ParallelRunner(jobs=1).run(specs)
-        journal = RunJournal.for_grid(tmp_path, specs, RetryPolicy())
+        journal = RunJournal.for_grid(tmp_path, specs)
         journal.record(
             "done",
             cell=specs[0].fingerprint,
             index=0,
             attempts=1,
-            requeues=0,
             wall_s=0.01,
             events=None,
             source="executed",
@@ -194,8 +181,7 @@ class TestTornTailResume:
                     cell=specs[1].fingerprint,
                     index=1,
                     attempts=1,
-                    requeues=0,
-                    wall_s=0.01,
+                            wall_s=0.01,
                     events=None,
                     source="executed",
                     result=reference[1].result,
@@ -219,7 +205,7 @@ class TestTornTailResume:
         assert final.closed
 
     def test_append_after_torn_tail_does_not_merge(self, specs, tmp_path):
-        journal = RunJournal.for_grid(tmp_path, specs, RetryPolicy())
+        journal = RunJournal.for_grid(tmp_path, specs)
         journal.record("dispatch", cell="a", index=0, attempt=0)
         with open(journal.path, "a") as handle:
             handle.write('{"t":"done","cell":"b","resu')  # torn, no newline
@@ -252,6 +238,6 @@ class TestTornTailResume:
         havoc.deactivate()
         assert [o.result for o in outcomes] == [o.result for o in reference]
         # The journal is a clean parseable prefix (header at least).
-        state = RunJournal.for_grid(tmp_path, specs, RetryPolicy()).replay()
+        state = RunJournal.for_grid(tmp_path, specs).replay()
         assert state.records >= 1
         assert not state.closed

@@ -4,8 +4,8 @@ Each case runs one tiny grid in-process (``--jobs 1 --no-cache``) and
 compares what a user sees against ``tests/golden/run_grids.json``:
 
 - the journal's file name — the grid fingerprint over every cell
-  fingerprint in order plus the retry policy, so it pins each spec's kind,
-  params and the policy byte for byte;
+  fingerprint in order, so it pins each spec's kind and params byte for
+  byte;
 - the printed per-cell, figure, aggregate and soak-tail tables (the runner
   telemetry block after them is wall-clock and left out);
 - the ``--csv`` file and the ``--out`` JSON.

@@ -51,14 +51,14 @@ class TestSerialPath:
 
     def test_injected_error_is_retried(self):
         specs = [selftest_spec(0, fault={"error_attempts": 1})]
-        outcomes = ParallelRunner(jobs=1, retries=2).run(specs)
+        outcomes = ParallelRunner(jobs=1).run(specs)
         assert outcomes[0].status == "executed"
         assert outcomes[0].attempts == 2
 
     def test_in_process_crash_fault_raises_then_retries(self):
         # In-process, a "crash" degrades to InjectedFault via the same path.
         specs = [selftest_spec(0, fault={"crash_attempts": 1})]
-        outcomes = ParallelRunner(jobs=1, retries=1).run(specs)
+        outcomes = ParallelRunner(jobs=1).run(specs)
         assert outcomes[0].status == "executed"
         assert outcomes[0].attempts == 2
 
@@ -68,9 +68,10 @@ class TestSerialPath:
             selftest_spec(1, fault={"error_attempts": 99}),
             selftest_spec(2),
         ]
-        runner = ParallelRunner(jobs=1, retries=1)
+        runner = ParallelRunner(jobs=1)
         outcomes = runner.run(specs)
         assert [o.status for o in outcomes] == ["executed", "failed", "executed"]
+        assert outcomes[1].attempts == 2  # one immediate re-run, then final
         assert outcomes[1].result is None
         assert "InjectedFault" in outcomes[1].error
         report = runner.last_report
@@ -113,7 +114,7 @@ class TestCache:
     def test_failed_cells_are_not_cached(self, tmp_path):
         spec = selftest_spec(1, fault={"error_attempts": 99})
         cache = ResultCache(tmp_path)
-        ParallelRunner(jobs=1, retries=0, cache=cache).run([spec])
+        ParallelRunner(jobs=1, cache=cache).run([spec])
         assert cache.stores == 0
         assert cache.load(spec) is None
 
@@ -163,11 +164,10 @@ class TestParallelPath:
             selftest_spec(2),
             selftest_spec(3),
         ]
-        runner = ParallelRunner(jobs=2, retries=2)
+        runner = ParallelRunner(jobs=2)
         outcomes = runner.run(specs)
         assert [o.status for o in outcomes] == ["executed"] * 4
-        crashed = outcomes[1]
-        assert crashed.attempts >= 2
+        assert [o.attempts for o in outcomes] == [1, 2, 1, 1]
         assert runner.last_report.retried >= 1
 
     def test_poisoned_cell_fails_alone(self):
@@ -176,7 +176,7 @@ class TestParallelPath:
             selftest_spec(1, fault={"crash_attempts": 99}),
             selftest_spec(2),
         ]
-        runner = ParallelRunner(jobs=2, retries=1)
+        runner = ParallelRunner(jobs=2)
         outcomes = runner.run(specs)
         assert [o.status for o in outcomes] == ["executed", "failed", "executed"]
         assert "died" in outcomes[1].error
@@ -189,7 +189,7 @@ class TestParallelPath:
             selftest_spec(1, fault={"hang_attempts": 99, "hang_s": 60.0}),
             selftest_spec(2),
         ]
-        runner = ParallelRunner(jobs=2, retries=0, timeout=1.5)
+        runner = ParallelRunner(jobs=2, timeout=1.5)
         outcomes = runner.run(specs)
         assert outcomes[1].status == "failed"
         assert "timed out" in outcomes[1].error
@@ -225,10 +225,6 @@ class TestValidation:
         runner.run([selftest_spec(0)])
         assert runner.last_report.jobs == runner.jobs
         assert runner.last_report.jobs_requested == 0
-
-    def test_retries_must_be_non_negative(self):
-        with pytest.raises(ValueError):
-            ParallelRunner(retries=-1)
 
     def test_injected_fault_is_a_runtime_error(self):
         assert issubclass(InjectedFault, RuntimeError)

@@ -3,9 +3,9 @@
 The simulation itself is stubbed (monkeypatched ``run_comparison``); these
 tests cover the CLI wiring: grid expansion, cache behaviour, journal/resume
 flags, telemetry output, CSV/JSON export, and exit codes. ``jobs=1`` keeps
-execution in-process so the stub is visible to the engine. The one
-exception is the SIGTERM test at the bottom, which runs a real (compressed)
-grid in a subprocess to pin the 0/1/3 exit-code contract end to end.
+execution in-process so the stub is visible to the engine. The exceptions
+are the signal tests at the bottom, which run a real (compressed) grid in
+a subprocess to pin the 0/1/3 exit-code contract end to end.
 """
 
 import json
@@ -78,11 +78,10 @@ class TestRunParser:
     def test_robustness_flags_parse(self):
         args = cli.build_parser().parse_args(
             ["run", "fig8", "--journal-dir", "J", "--resume",
-             "--watchdog", "5", "--converge", "30", "--drain", "10"]
+             "--converge", "30", "--drain", "10"]
         )
         assert args.journal_dir == "J"
         assert args.resume is True
-        assert args.watchdog == 5.0
         assert args.converge == 30.0
         assert args.drain == 10.0
 
@@ -90,7 +89,6 @@ class TestRunParser:
         args = cli.build_parser().parse_args(["run", "fig8"])
         assert args.journal_dir is None
         assert args.resume is False
-        assert args.watchdog is None
         assert args.converge is None and args.drain is None
 
 
@@ -242,6 +240,21 @@ class TestRunExecution:
         assert "4 resumed" in capsys.readouterr().out
 
 
+def grid_argv(tmp_path, *extra):
+    """A real fig8 grid, four cells, compressed to seconds per cell."""
+    return [
+        sys.executable, "-m", "repro", "run", "fig8",
+        "--seeds", "1", "2", "--controls", "2", "--interval", "4",
+        "--converge", "30", "--drain", "10",
+        "--journal-dir", str(tmp_path / "journal"),
+        "--cache-dir", str(tmp_path / "cache"), "--no-cache", *extra,
+    ]
+
+
+def cli_env():
+    return dict(os.environ, PYTHONPATH=str(Path(repro.__file__).resolve().parents[1]))
+
+
 class TestExitCodeContract:
     def test_sigterm_interrupts_resumably(self, tmp_path):
         # A real (compressed) grid in a subprocess: SIGTERM after the first
@@ -251,16 +264,8 @@ class TestExitCodeContract:
         # Two seeds give four cells, so some are still undispatched when the
         # signal lands (with two cells the drain finishes the one running
         # and the grid completes with exit 0).
-        argv = [
-            sys.executable, "-m", "repro", "run", "fig8",
-            "--seeds", "1", "2", "--controls", "2", "--interval", "4",
-            "--converge", "30", "--drain", "10",
-            "--journal-dir", str(tmp_path / "journal"),
-            "--cache-dir", str(tmp_path / "cache"), "--no-cache",
-        ]
-        env = dict(
-            os.environ, PYTHONPATH=str(Path(repro.__file__).resolve().parents[1])
-        )
+        argv = grid_argv(tmp_path)
+        env = cli_env()
         victim = subprocess.Popen(
             argv,
             stdout=subprocess.DEVNULL,
@@ -283,6 +288,64 @@ class TestExitCodeContract:
             victim.stderr.close()
         assert saw_done, "grid produced no completed cell"
         assert rc == cli.EXIT_INTERRUPTED
+
+        resumed = subprocess.run(
+            argv + ["--resume"],
+            stdout=subprocess.PIPE,
+            stderr=subprocess.DEVNULL,
+            text=True,
+            env=env,
+            timeout=300,
+        )
+        assert resumed.returncode == cli.EXIT_OK
+        assert "resumed" in resumed.stdout
+
+    def test_group_sigint_drains_cell_processes(self, tmp_path):
+        # A terminal's Ctrl-C signals the whole process group: the runner
+        # and every cell process. The in-flight cells must finish (the
+        # drain), not die of KeyboardInterrupt and be retried.
+        argv = grid_argv(tmp_path, "--jobs", "2")
+        env = cli_env()
+        victim = subprocess.Popen(
+            argv,
+            stdout=subprocess.DEVNULL,
+            stderr=subprocess.PIPE,
+            text=True,
+            env=env,
+            start_new_session=True,  # its own process group, as a terminal gives
+        )
+
+        def nuke():
+            try:
+                os.killpg(victim.pid, signal.SIGKILL)
+            except (ProcessLookupError, PermissionError):
+                pass
+
+        backstop = threading.Timer(300.0, nuke)
+        backstop.start()
+        lines = []
+        try:
+            for line in victim.stderr:
+                lines.append(line)
+                if "[runner] done" in line:
+                    os.killpg(victim.pid, signal.SIGINT)
+                    break
+            lines.extend(victim.stderr)  # the drain's output, to EOF
+            rc = victim.wait(timeout=120)
+        finally:
+            backstop.cancel()
+            victim.stderr.close()
+            nuke()
+        stderr = "".join(lines)
+        assert rc == cli.EXIT_INTERRUPTED, stderr
+        assert "Traceback" not in stderr
+        assert "retry" not in stderr
+
+        (journal,) = (tmp_path / "journal").glob("*.jsonl")
+        records = [json.loads(line) for line in journal.read_text().splitlines()]
+        dispatched = {r["cell"] for r in records if r["t"] == "dispatch"}
+        done = {r["cell"] for r in records if r["t"] == "done"}
+        assert dispatched and dispatched <= done, stderr
 
         resumed = subprocess.run(
             argv + ["--resume"],
