@@ -131,20 +131,15 @@ def drain_subprocesses(
                     status, body = "crash", None
                 reader.close()
                 flight.process.join()
-                wall = time.monotonic() - flight.started
                 if status == "reply":
                     runner._finalize(outcomes, flight.cell, body, journal)
-                elif status == "error":
-                    runner._handle_failure(
-                        pending, outcomes, flight.cell, wall, journal,
-                        kind="error", error=body,
-                    )
-                else:
-                    runner._handle_failure(
-                        pending, outcomes, flight.cell, wall, journal,
-                        kind="crash",
-                        error=f"cell process died (exit code {flight.process.exitcode})",
-                    )
+                    continue
+                if status == "crash":
+                    body = f"cell process died (exit code {flight.process.exitcode})"
+                runner._handle_failure(
+                    pending, outcomes, flight.cell, time.monotonic() - flight.started,
+                    journal, kind=status, error=body,
+                )
             if runner.timeout is None:
                 continue
             now = time.monotonic()

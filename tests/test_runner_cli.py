@@ -255,6 +255,20 @@ def cli_env():
     return dict(os.environ, PYTHONPATH=str(Path(repro.__file__).resolve().parents[1]))
 
 
+def assert_resumes(argv, env):
+    """``--resume`` finishes an interrupted grid with exit 0."""
+    resumed = subprocess.run(
+        argv + ["--resume"],
+        stdout=subprocess.PIPE,
+        stderr=subprocess.DEVNULL,
+        text=True,
+        env=env,
+        timeout=300,
+    )
+    assert resumed.returncode == cli.EXIT_OK
+    assert "resumed" in resumed.stdout
+
+
 class TestExitCodeContract:
     def test_sigterm_interrupts_resumably(self, tmp_path):
         # A real (compressed) grid in a subprocess: SIGTERM after the first
@@ -289,16 +303,7 @@ class TestExitCodeContract:
         assert saw_done, "grid produced no completed cell"
         assert rc == cli.EXIT_INTERRUPTED
 
-        resumed = subprocess.run(
-            argv + ["--resume"],
-            stdout=subprocess.PIPE,
-            stderr=subprocess.DEVNULL,
-            text=True,
-            env=env,
-            timeout=300,
-        )
-        assert resumed.returncode == cli.EXIT_OK
-        assert "resumed" in resumed.stdout
+        assert_resumes(argv, env)
 
     def test_group_sigint_drains_cell_processes(self, tmp_path):
         # A terminal's Ctrl-C signals the whole process group: the runner
@@ -347,13 +352,4 @@ class TestExitCodeContract:
         done = {r["cell"] for r in records if r["t"] == "done"}
         assert dispatched and dispatched <= done, stderr
 
-        resumed = subprocess.run(
-            argv + ["--resume"],
-            stdout=subprocess.PIPE,
-            stderr=subprocess.DEVNULL,
-            text=True,
-            env=env,
-            timeout=300,
-        )
-        assert resumed.returncode == cli.EXIT_OK
-        assert "resumed" in resumed.stdout
+        assert_resumes(argv, env)
